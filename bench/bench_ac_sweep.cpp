@@ -19,7 +19,6 @@
 // Release CI job runs that mode).  Results are written as JSON (path from
 // OTA_BENCH_JSON, default BENCH_ac.json) so scripts/bench_snapshot.sh can
 // archive the perf trajectory.
-#include <chrono>
 #include <cmath>
 #include <complex>
 #include <cstdio>
@@ -119,11 +118,8 @@ struct Run {
   double speedup_vs_naive = 1.0;
 };
 
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+/// Each path is timed as the best of this many runs (see best_seconds).
+constexpr int kTimingRepeats = 5;
 
 bool identical(const std::vector<Cplx>& a, const std::vector<Cplx>& b) {
   if (a.size() != b.size()) return false;
@@ -169,11 +165,11 @@ int main() {
 
   // Naive reference: full restamp + factor per point.
   std::vector<Cplx> naive(freqs.size());
-  double t0 = now_seconds();
-  for (size_t i = 0; i < freqs.size(); ++i) {
-    naive[i] = naive_transfer(topo.netlist, ac.devices(), freqs[i], out_node);
-  }
-  const double naive_seconds = now_seconds() - t0;
+  const double naive_seconds = best_seconds(kTimingRepeats, [&] {
+    for (size_t i = 0; i < freqs.size(); ++i) {
+      naive[i] = naive_transfer(topo.netlist, ac.devices(), freqs[i], out_node);
+    }
+  });
   const double naive_pps =
       naive_seconds > 0.0 ? static_cast<double>(points) / naive_seconds : 0.0;
   std::printf("%8s %10s %14s %9s  (system size %d)\n", "path", "seconds",
@@ -194,11 +190,12 @@ int main() {
   std::vector<Cplx> serial;
   bool bit_identical = true;
   for (int t : sweep_threads) {
-    t0 = now_seconds();
-    const std::vector<Cplx> h = ac.transfer_sweep(freqs, topo.output_node, t);
+    std::vector<Cplx> h;
     Run run;
     run.threads = t;
-    run.seconds = now_seconds() - t0;
+    run.seconds = best_seconds(
+        kTimingRepeats,
+        [&] { h = ac.transfer_sweep(freqs, topo.output_node, t); });
     run.points_per_sec =
         run.seconds > 0.0 ? static_cast<double>(points) / run.seconds : 0.0;
     run.speedup_vs_naive =

@@ -11,6 +11,8 @@
 //   paper — the paper's dataset/model scale (GPU-sized; hours on CPU)
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -159,6 +161,24 @@ inline bool write_bench_json(const std::string& default_path,
   js << obj.render();
   std::printf("\nwrote %s\n", path.c_str());
   return true;
+}
+
+/// Best (minimum) wall time of `repeats` runs of `fn`.  A smoke pass lasts
+/// milliseconds to a fraction of a second, where one preemption on a shared
+/// host can double a single reading; the minimum is the least disturbed, so
+/// the speedup ratios scripts/bench_diff.py gates stay stable run to run.
+template <typename Fn>
+double best_seconds(int repeats, Fn&& fn) {
+  double best = 0.0;
+  for (int r = 0; r < repeats; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const double dt = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    best = r == 0 ? dt : std::min(best, dt);
+  }
+  return best;
 }
 
 inline const device::Technology& tech() {

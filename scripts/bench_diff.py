@@ -12,15 +12,16 @@ Field policy (what "worse" means):
   accounting/shape numbers) must match exactly: a drifted config silently
   invalidates every comparison, so the diff refuses to compare apples to
   pears and tells you to refresh the baselines instead.
-* Rate fields (*_per_sec, *speedup*, decode_occupancy) gate throughput:
-  fresh >= baseline * (1 - tolerance).  The default tolerance is generous —
-  CI smoke runs measure ~1s windows on shared runners where same-config
-  draws vary +-25%, so the gate targets step-change regressions (a lost
-  SIMD tier, accidentally-enabled telemetry); the nightly non-smoke sweep
-  is where tight numbers live.
-* Everything else numeric (seconds, latencies, error bounds) is reported
-  informationally but never fails the gate — wall-clock on a noisy runner is
-  not a contract.
+* In-process ratio fields (*speedup*, decode_occupancy) gate throughput:
+  fresh >= baseline * (1 - tolerance).  Both sides of a ratio come from the
+  same run, so host speed cancels out of it.  The default tolerance is
+  generous, so the gate targets step-change regressions (a lost SIMD tier,
+  accidentally-enabled telemetry).
+* Absolute rates (*_per_sec) and everything else numeric (seconds,
+  latencies, error bounds) are reported informationally but never fail the
+  gate: smoke windows of tens of milliseconds swing by +-30% on unchanged
+  code, and absolute throughput is gated by the repo benchmark
+  (BENCHMARK.json, perfbench/).
 * "runs" arrays are matched per-entry by thread count and the same policy
   applies inside each entry.
 * A fresh key missing from the baseline warns (new fields appear when
@@ -60,9 +61,8 @@ STRICT_STRINGS = ["bench", "scale", "storm_spec"]
 # "smoke" is a boolean but semantically config; booleans are strict anyway.
 
 
-def is_rate_key(key):
-    return (key.endswith("_per_sec") or "speedup" in key
-            or key == "decode_occupancy")
+def is_ratio_key(key):
+    return "speedup" in key or key == "decode_occupancy"
 
 
 class Diff:
@@ -104,7 +104,7 @@ def diff_scalar(diff, bench, key, base, cur, tolerance, strict_nums):
                       f"(workload shape / accounting must match the baseline "
                       f"exactly; refresh bench/baselines/ if intentional)")
         return
-    if is_rate_key(key):
+    if is_ratio_key(key):
         floor = base * (1.0 - tolerance)
         if cur < floor:
             diff.fail(f"{where}: throughput regression {base:g} -> {cur:g} "
@@ -211,9 +211,9 @@ def run_diff(args):
 
 
 def self_test():
-    """Proves the gate actually gates: a clean pair passes, a regressed rate
+    """Proves the gate actually gates: a clean pair passes, a regressed ratio
     fails, a flipped correctness bool fails, drifted config fails, and a
-    missing fresh snapshot fails."""
+    missing fresh snapshot fails; a drop in an absolute rate alone passes."""
     baseline = {
         "bench": "train_runtime", "scale": "small", "smoke": True,
         "corpus_pairs": 48, "epochs": 2, "batch_size": 16,
@@ -256,13 +256,18 @@ def self_test():
     ok = True
     ok &= run_case("identical snapshots pass", lambda c: None, False)
     ok &= run_case(
-        "small rate wobble within tolerance passes",
-        lambda c: c["runs"][1].update(examples_per_sec=300.0, speedup=3.0),
-        False)
+        "small ratio wobble within tolerance passes",
+        lambda c: c["runs"][1].update(speedup=3.0), False)
     ok &= run_case(
-        "throughput regression fails",
-        lambda c: c["runs"][1].update(examples_per_sec=150.0, speedup=1.5),
-        True)
+        "ratio regression fails",
+        lambda c: c["runs"][1].update(speedup=1.5), True)
+
+    def drop_absolute_rates(c):
+        for r in c["runs"]:
+            r["examples_per_sec"] *= 0.3
+
+    ok &= run_case("absolute rate drop alone passes (informational)",
+                   drop_absolute_rates, False)
     ok &= run_case(
         "flipped correctness boolean fails",
         lambda c: c.update(bit_identical=False), True)
@@ -287,10 +292,9 @@ def main():
     p.add_argument("--baseline-dir", default="bench/baselines")
     p.add_argument("--current-dir", default=".")
     p.add_argument("--tolerance", type=float, default=0.45,
-                   help="allowed fractional throughput drop on rate fields "
-                        "(default 0.45: smoke runs measure ~1s windows on "
-                        "shared runners, where same-config draws vary +-25%%; "
-                        "the gate is for step-change regressions, not drift)")
+                   help="allowed fractional drop on in-process ratio fields "
+                        "(default 0.45: the gate is for step-change "
+                        "regressions, not drift)")
     p.add_argument("--report", default=None,
                    help="also write the report to this path")
     p.add_argument("--allow-missing", action="store_true",

@@ -16,9 +16,7 @@ using nlp::Vocabulary;
 namespace {
 
 // Model-file config header, version 2: an explicit field-by-field layout
-// behind a magic/version tag.  Version 1 (no tag) dumped the raw
-// TransformerConfig struct — indeterminate padding bytes and fragile against
-// any struct change; load() still accepts it best-effort.
+// behind a magic/version tag.
 constexpr char kModelMagicV2[8] = {'o', 't', 'a', 's', 'm', 'd', 'l', '2'};
 
 template <typename T>
@@ -40,7 +38,23 @@ bool config_is_plausible(const ml::TransformerConfig& cfg) {
          cfg.n_layers > 0 && cfg.n_layers <= 1024 &&
          cfg.d_ff > 0 && cfg.d_ff <= (1 << 20) &&
          cfg.max_len > 0 && cfg.max_len <= (1 << 24) &&
+         // The positional table is computed, not stored, so the file size
+         // cannot bound it: cap it at 2^24 entries (128 MB of doubles).
+         cfg.max_len * cfg.d_model <= (1 << 24) &&
          cfg.dropout >= 0.0 && cfg.dropout < 1.0;
+}
+
+/// Lower bound on the bytes Transformer::save writes for `cfg`: the weight
+/// matrices alone (biases and norms left out), so it never refuses a file
+/// the Transformer would load.  Cannot overflow once config_is_plausible
+/// holds.
+int64_t min_weight_bytes(const ml::TransformerConfig& cfg) {
+  const int64_t d = cfg.d_model;
+  // Two embeddings plus the output head, then per encoder/decoder layer
+  // pair 4 + 8 attention projections of d x d and two FFNs.
+  const int64_t weights = 3 * cfg.vocab_size * d +
+                          cfg.n_layers * (12 * d * d + 4 * d * cfg.d_ff);
+  return weights * static_cast<int64_t>(sizeof(double));
 }
 
 }  // namespace
@@ -255,31 +269,32 @@ bool SizingModel::load(const std::string& prefix) {
   ml::TransformerConfig cfg;
   char magic[8] = {};
   mdl.read(magic, sizeof magic);
-  if (mdl && std::equal(magic, magic + 8, kModelMagicV2)) {
-    if (!read_field(mdl, cfg.vocab_size) || !read_field(mdl, cfg.d_model) ||
-        !read_field(mdl, cfg.n_heads) || !read_field(mdl, cfg.n_layers) ||
-        !read_field(mdl, cfg.d_ff) || !read_field(mdl, cfg.max_len) ||
-        !read_field(mdl, cfg.dropout) || !read_field(mdl, cfg.seed)) {
-      throw InvalidArgument("SizingModel::load: truncated v2 config header in " +
-                            prefix + ".model");
-    }
-    if (!config_is_plausible(cfg)) {
-      throw InvalidArgument("SizingModel::load: corrupt v2 config header in " +
-                            prefix + ".model");
-    }
-  } else {
-    // Legacy (untagged) format: the file starts with a raw TransformerConfig
-    // struct dump.  Best-effort: re-read it as the struct and sanity-check
-    // the fields, since padding bytes and layout were never guaranteed.
-    mdl.clear();
-    mdl.seekg(0);
-    mdl.read(reinterpret_cast<char*>(&cfg), sizeof cfg);
-    if (!mdl || !config_is_plausible(cfg)) {
-      throw InvalidArgument(
-          "SizingModel::load: " + prefix + ".model is neither a v2 model file "
-          "(magic 'otasmdl2') nor a readable legacy config; re-train and "
-          "re-save the model");
-    }
+  if (!mdl || !std::equal(magic, magic + 8, kModelMagicV2)) {
+    throw InvalidArgument("SizingModel::load: " + prefix +
+                          ".model is not a v2 model file (magic 'otasmdl2'); "
+                          "re-train and re-save the model");
+  }
+  if (!read_field(mdl, cfg.vocab_size) || !read_field(mdl, cfg.d_model) ||
+      !read_field(mdl, cfg.n_heads) || !read_field(mdl, cfg.n_layers) ||
+      !read_field(mdl, cfg.d_ff) || !read_field(mdl, cfg.max_len) ||
+      !read_field(mdl, cfg.dropout) || !read_field(mdl, cfg.seed)) {
+    throw InvalidArgument("SizingModel::load: truncated v2 config header in " +
+                          prefix + ".model");
+  }
+  if (!config_is_plausible(cfg)) {
+    throw InvalidArgument("SizingModel::load: corrupt v2 config header in " +
+                          prefix + ".model");
+  }
+  // Refuse before allocating: the header must not size a model whose
+  // weights the file cannot hold.
+  const std::streamoff header_end = mdl.tellg();
+  mdl.seekg(0, std::ios::end);
+  const std::streamoff bytes_left = mdl.tellg() - header_end;
+  mdl.seekg(header_end);
+  if (min_weight_bytes(cfg) > bytes_left) {
+    throw InvalidArgument("SizingModel::load: the v2 config header in " +
+                          prefix + ".model declares more weights than the "
+                          "file holds");
   }
   model_ = std::make_unique<ml::Transformer>(cfg);
   model_->load(mdl);

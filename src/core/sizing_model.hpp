@@ -86,12 +86,12 @@ class SizingModel : public Predictor {
 
   /// Persists tokenizer + weights to `<prefix>.bpe` / `<prefix>.model`.
   /// The model file carries an explicit field-by-field config header
-  /// (version tag "otasmdl2"); see load() for the legacy format.
+  /// (version tag "otasmdl2").
   void save(const std::string& prefix) const;
   /// Loads a previously saved model; returns false when files are missing.
-  /// Reads the versioned header, falling back to a best-effort parse of the
-  /// legacy raw-struct header (pre-version files written on the same
-  /// platform); throws InvalidArgument when neither format fits.
+  /// Throws InvalidArgument for any other model file, and for a header that
+  /// declares more weights than the file holds or an oversized positional
+  /// table, before allocating the model.
   bool load(const std::string& prefix);
 
  private:

@@ -14,19 +14,18 @@ using nlp::TokenId;
 using nlp::Vocabulary;
 
 // Every loop in this file replicates the accumulation order of the reference
-// Var ops (ml/ops.cpp) and of the NN GEMM kernel (ml/tensor.cpp) — including
-// its skip of zero left-hand values — so that the engine's floating-point
-// results are bit-identical to the autograd path's.  Do not "clean up" loop
-// orders or hoist terms here without re-running the bit-identity properties
-// in tests/test_infer.cpp.
+// Var ops (ml/ops.cpp) and of the NN GEMM kernel (ml/tensor.cpp), so that the
+// engine's floating-point results are bit-identical to the autograd path's.
+// The row kernels also skip multipliers that are exactly zero, which the
+// reference does not; a zero product never changes a finite sum that starts
+// at +0.  Do not "clean up" loop orders or hoist terms here without
+// re-running the bit-identity properties in tests/test_infer.cpp.
 //
-// The row kernels are templated on the scalar/tensor type so the float32
-// serving tier runs the exact same loop structure over its narrowed weight
-// snapshot.  The double instantiations are the pre-existing reference code:
-// per-element accumulation order is unchanged, and the `#pragma omp simd`
-// hints sit only on lane-independent loops (each output element still sums
-// in the same order), never on reductions (which would permit reassociation
-// and break the bit-identity contract).
+// Everything below is templated on the scalar, so the float32 serving tier
+// is the float instantiation of the double reference code over its narrowed
+// snapshot.  The `#pragma omp simd` hints sit only on lane-independent loops
+// (each output element still sums in the same order), never on reductions
+// (which would permit reassociation and break the bit-identity contract).
 namespace {
 
 /// Initial max for the softmax row scan.  The double value is the historical
@@ -66,10 +65,10 @@ inline float dot_row(const float* a, const float* b, int64_t n) {
   return (s0 + s1) + (s2 + s3);
 }
 
-/// out = x * W for one row x (length k), matching the NN GEMM kernel:
-/// p-outer / j-inner accumulation with the av == 0 skip.
-template <typename TT, typename T = typename TT::value_type>
-void project_row(const T* x, const TT& w, T* out) {
+/// out = x * W for one row x (length k) in the NN GEMM kernel's order
+/// (p-outer / j-inner), skipping zero multipliers.
+template <typename T>
+void project_row(const T* x, const BasicTensor<T>& w, T* out) {
   const int64_t k = w.rows(), n = w.cols();
   std::fill(out, out + n, T(0));
   for (int64_t p = 0; p < k; ++p) {
@@ -81,8 +80,8 @@ void project_row(const T* x, const TT& w, T* out) {
   }
 }
 
-template <typename TT, typename T = typename TT::value_type>
-void add_bias_row(T* x, const TT& bias) {
+template <typename T>
+void add_bias_row(T* x, const BasicTensor<T>& bias) {
   for (int64_t c = 0; c < bias.cols(); ++c) x[c] += bias(0, c);
 }
 
@@ -102,8 +101,8 @@ void softmax_row(T* s, int64_t n) {
 
 /// In-place row layer-norm, same statistics and output expression as
 /// layer_norm in ops.cpp (eps matches its default).
-template <typename TT, typename T = typename TT::value_type>
-void layer_norm_row(T* x, int64_t n, const LayerNormWeightsT<TT>& w) {
+template <typename T>
+void layer_norm_row(T* x, int64_t n, const LayerNormWeights<T>& w) {
   T mu = T(0);
   for (int64_t c = 0; c < n; ++c) mu += x[c];
   mu /= static_cast<T>(n);
@@ -140,7 +139,7 @@ void attend_row(const T* q, const T* keys, const T* values, int64_t lk,
     softmax_row(scores.data(), lk);
     for (int64_t p = 0; p < lk; ++p) {
       const T a = scores[static_cast<size_t>(p)];
-      if (a == T(0)) continue;  // the NN kernel's zero skip
+      if (a == T(0)) continue;  // zero multiplier (see the top of the file)
       const T* vrow = values + p * d_model + ho;
 #pragma omp simd
       for (int64_t c = 0; c < d_head; ++c) ctx[ho + c] += a * vrow[c];
@@ -154,48 +153,48 @@ void attend_row(const T* q, const T* keys, const T* values, int64_t lk,
 /// returns the attention output (L, d_model) after the fused W_O projection
 /// and bias.  Each query row goes through the same attend_row kernel the
 /// decoder Session uses — one copy of the bit-identity-critical loop.
-template <typename TT, typename T = typename TT::value_type>
-TT attention_full(const TT& q_src, const TT& kv_src,
-                  const FusedAttentionWeightsT<TT>& w, int64_t d_head) {
+template <typename T>
+BasicTensor<T> attention_full(const BasicTensor<T>& q_src,
+                              const BasicTensor<T>& kv_src,
+                              const FusedAttentionWeights<T>& w,
+                              int64_t d_head) {
   const int64_t lq = q_src.rows(), lk = kv_src.rows(), d_model = w.wq.cols();
-  TT q, k, v;
+  BasicTensor<T> q, k, v;
   matmul_into(q_src, w.wq, q);
   matmul_into(kv_src, w.wk, k);
   matmul_into(kv_src, w.wv, v);
 
-  TT ctx(lq, d_model);
+  BasicTensor<T> ctx(lq, d_model);
   std::vector<T> scores(static_cast<size_t>(lk));
   for (int64_t i = 0; i < lq; ++i) {
     attend_row(&q(i, 0), k.data().data(), v.data().data(), lk, d_model, d_head,
                &ctx(i, 0), scores);
   }
-  TT out;
+  BasicTensor<T> out;
   matmul_into(ctx, w.wo, out);
   for (int64_t r = 0; r < out.rows(); ++r) add_bias_row(&out(r, 0), w.bo);
   return out;
 }
 
 /// Position-wise FFN over all rows: relu(x W_in + b_in) W_out + b_out.
-template <typename TT, typename T = typename TT::value_type>
-TT ffn_full(const TT& x, const FeedForwardWeightsT<TT>& w) {
-  TT h;
+template <typename T>
+BasicTensor<T> ffn_full(const BasicTensor<T>& x, const FeedForwardWeights<T>& w) {
+  BasicTensor<T> h;
   matmul_into(x, w.w_in, h);
   for (int64_t r = 0; r < h.rows(); ++r) add_bias_row(&h(r, 0), w.b_in);
   for (T& v : h.data()) v = v > T(0) ? v : T(0);
-  TT out;
+  BasicTensor<T> out;
   matmul_into(h, w.w_out, out);
   for (int64_t r = 0; r < out.rows(); ++r) add_bias_row(&out(r, 0), w.b_out);
   return out;
 }
 
-/// Shared encoder pass: embedding+positional rows, then per-layer
-/// self-attention / norm / FFN / norm.  One body for both tiers; the double
-/// instantiation is the bit-identity reference, the f32 instantiation runs
-/// on the narrowed snapshot with half the memory traffic.
-template <typename TT, typename T = typename TT::value_type>
-TT encode_impl(const std::vector<TokenId>& src, const TT& embed, const TT& pos,
-               const std::vector<EncoderLayerWeightsT<TT>>& layers,
-               const TransformerConfig& cfg, int64_t d_head) {
+/// Encoder pass: embedding+positional rows, then per-layer self-attention /
+/// norm / FFN / norm.
+template <typename T>
+BasicTensor<T> encode_impl(const std::vector<TokenId>& src,
+                           const ModelWeights<T>& w,
+                           const TransformerConfig& cfg, int64_t d_head) {
   if (src.empty()) {
     throw InvalidArgument("InferenceEngine::encode: empty input");
   }
@@ -207,24 +206,24 @@ TT encode_impl(const std::vector<TokenId>& src, const TT& embed, const TT& pos,
         "); re-train with a larger max_len or shorten the input");
   }
   const T sqrt_d = std::sqrt(static_cast<T>(cfg.d_model));
-  TT x(len, cfg.d_model);
+  BasicTensor<T> x(len, cfg.d_model);
   for (int64_t i = 0; i < len; ++i) {
     const TokenId id = src[static_cast<size_t>(i)];
-    if (id < 0 || id >= embed.rows()) {
+    if (id < 0 || id >= w.src_embed.rows()) {
       throw InvalidArgument("InferenceEngine::encode: token id out of range");
     }
 #pragma omp simd
     for (int64_t c = 0; c < cfg.d_model; ++c) {
-      x(i, c) = embed(id, c) * sqrt_d + pos(i, c);
+      x(i, c) = w.src_embed(id, c) * sqrt_d + w.pos(i, c);
     }
   }
-  for (const EncoderLayerWeightsT<TT>& layer : layers) {
-    const TT attn = attention_full(x, x, layer.self, d_head);
+  for (const EncoderLayerWeights<T>& layer : w.encoder) {
+    const BasicTensor<T> attn = attention_full(x, x, layer.self, d_head);
     for (int64_t i = 0; i < x.size(); ++i) x.at(i) += attn.at(i);
     for (int64_t r = 0; r < len; ++r) {
       layer_norm_row(&x(r, 0), cfg.d_model, layer.norm1);
     }
-    const TT ff = ffn_full(x, layer.ffn);
+    const BasicTensor<T> ff = ffn_full(x, layer.ffn);
     for (int64_t i = 0; i < x.size(); ++i) x.at(i) += ff.at(i);
     for (int64_t r = 0; r < len; ++r) {
       layer_norm_row(&x(r, 0), cfg.d_model, layer.norm2);
@@ -254,16 +253,23 @@ class WeightMap {
     return *it->second;
   }
 
+  /// The named weight converted to a tier's scalar.
+  template <typename T>
+  BasicTensor<T> copy(const std::string& name) const {
+    return BasicTensor<T>::from(get(name));
+  }
+
  private:
   std::map<std::string, const Tensor*> by_name_;
 };
 
 /// Concatenates the per-head (d_model, d_head) projections of `site` into one
 /// (d_model, d_model) matrix, head h occupying columns [h*d_head, ...).
-Tensor fuse_heads(const WeightMap& w, const std::string& site,
-                  const char* which, int64_t d_model, int64_t d_head) {
+template <typename T>
+BasicTensor<T> fuse_heads(const WeightMap& w, const std::string& site,
+                          const char* which, int64_t d_model, int64_t d_head) {
   const int64_t n_heads = d_model / d_head;
-  Tensor fused(d_model, d_model);
+  BasicTensor<T> fused(d_model, d_model);
   for (int64_t h = 0; h < n_heads; ++h) {
     const Tensor& head =
         w.get(site + ".h" + std::to_string(h) + "." + which);
@@ -272,111 +278,79 @@ Tensor fuse_heads(const WeightMap& w, const std::string& site,
     }
     for (int64_t r = 0; r < d_model; ++r) {
       for (int64_t c = 0; c < d_head; ++c) {
-        fused(r, h * d_head + c) = head(r, c);
+        fused(r, h * d_head + c) = static_cast<T>(head(r, c));
       }
     }
   }
   return fused;
 }
 
-FusedAttentionWeights snapshot_attention(const WeightMap& w,
-                                         const std::string& site,
-                                         int64_t d_model, int64_t d_head) {
-  FusedAttentionWeights a;
-  a.wq = fuse_heads(w, site, "wq", d_model, d_head);
-  a.wk = fuse_heads(w, site, "wk", d_model, d_head);
-  a.wv = fuse_heads(w, site, "wv", d_model, d_head);
-  a.wo = w.get(site + ".wo");
-  a.bo = w.get(site + ".bo");
-  return a;
+template <typename T>
+FusedAttentionWeights<T> snapshot_attention(const WeightMap& w,
+                                            const std::string& site,
+                                            int64_t d_model, int64_t d_head) {
+  return {fuse_heads<T>(w, site, "wq", d_model, d_head),
+          fuse_heads<T>(w, site, "wk", d_model, d_head),
+          fuse_heads<T>(w, site, "wv", d_model, d_head),
+          w.copy<T>(site + ".wo"), w.copy<T>(site + ".bo")};
 }
 
-FeedForwardWeights snapshot_ffn(const WeightMap& w, const std::string& site) {
-  return FeedForwardWeights{w.get(site + ".in.w"), w.get(site + ".in.b"),
-                            w.get(site + ".out.w"), w.get(site + ".out.b")};
+template <typename T>
+FeedForwardWeights<T> snapshot_ffn(const WeightMap& w, const std::string& site) {
+  return {w.copy<T>(site + ".in.w"), w.copy<T>(site + ".in.b"),
+          w.copy<T>(site + ".out.w"), w.copy<T>(site + ".out.b")};
 }
 
-LayerNormWeights snapshot_norm(const WeightMap& w, const std::string& site) {
-  return LayerNormWeights{w.get(site + ".gamma"), w.get(site + ".beta")};
+template <typename T>
+LayerNormWeights<T> snapshot_norm(const WeightMap& w, const std::string& site) {
+  return {w.copy<T>(site + ".gamma"), w.copy<T>(site + ".beta")};
 }
 
-// Round-to-nearest narrowing of a fused double snapshot into the f32 mirror,
-// structure by structure.  Taken from the already-fused double tensors so
-// both tiers share one layout (and the f32 tier inherits any future fusing
-// changes automatically).
-FusedAttentionWeightsT<TensorF> narrow(const FusedAttentionWeights& w) {
-  return {TensorF::from(w.wq), TensorF::from(w.wk), TensorF::from(w.wv),
-          TensorF::from(w.wo), TensorF::from(w.bo)};
-}
+/// One tier's weight snapshot, taken straight from the double registry
+/// (float32 rounds each weight to nearest after the head fusing, so both
+/// tiers share one layout).
+template <typename T>
+ModelWeights<T> snapshot(const Transformer& model, int64_t d_head) {
+  const TransformerConfig& cfg = model.config();
+  const WeightMap w(model);
+  ModelWeights<T> m;
+  m.src_embed = w.copy<T>("src_embed");
+  m.tgt_embed = w.copy<T>("tgt_embed");
+  m.pos = BasicTensor<T>::from(model.positional().table());
+  m.out_w = w.copy<T>("out.w");
+  m.out_b = w.copy<T>("out.b");
+  for (int64_t l = 0; l < cfg.n_layers; ++l) {
+    const std::string enc = "enc" + std::to_string(l);
+    m.encoder.push_back(
+        {snapshot_attention<T>(w, enc + ".self", cfg.d_model, d_head),
+         snapshot_ffn<T>(w, enc + ".ffn"), snapshot_norm<T>(w, enc + ".norm1"),
+         snapshot_norm<T>(w, enc + ".norm2")});
 
-FeedForwardWeightsT<TensorF> narrow(const FeedForwardWeights& w) {
-  return {TensorF::from(w.w_in), TensorF::from(w.b_in),
-          TensorF::from(w.w_out), TensorF::from(w.b_out)};
-}
-
-LayerNormWeightsT<TensorF> narrow(const LayerNormWeights& w) {
-  return {TensorF::from(w.gamma), TensorF::from(w.beta)};
-}
-
-EncoderLayerWeightsT<TensorF> narrow(const EncoderLayerWeights& e) {
-  return {narrow(e.self), narrow(e.ffn), narrow(e.norm1), narrow(e.norm2)};
-}
-
-DecoderLayerWeightsT<TensorF> narrow(const DecoderLayerWeights& d) {
-  return {narrow(d.self), narrow(d.cross), narrow(d.ffn),
-          narrow(d.norm1), narrow(d.norm2), narrow(d.norm3)};
+    const std::string dec = "dec" + std::to_string(l);
+    m.decoder.push_back(
+        {snapshot_attention<T>(w, dec + ".self", cfg.d_model, d_head),
+         snapshot_attention<T>(w, dec + ".cross", cfg.d_model, d_head),
+         snapshot_ffn<T>(w, dec + ".ffn"), snapshot_norm<T>(w, dec + ".norm1"),
+         snapshot_norm<T>(w, dec + ".norm2"),
+         snapshot_norm<T>(w, dec + ".norm3")});
+  }
+  return m;
 }
 
 }  // namespace
 
 InferenceEngine::InferenceEngine(const Transformer& model)
-    : cfg_(model.config()), pos_(model.positional().table()) {
-  d_head_ = cfg_.d_model / cfg_.n_heads;
-  const WeightMap w(model);
-  src_embed_ = w.get("src_embed");
-  tgt_embed_ = w.get("tgt_embed");
-  out_w_ = w.get("out.w");
-  out_b_ = w.get("out.b");
-  for (int64_t l = 0; l < cfg_.n_layers; ++l) {
-    const std::string enc = "enc" + std::to_string(l);
-    EncoderLayerWeights e;
-    e.self = snapshot_attention(w, enc + ".self", cfg_.d_model, d_head_);
-    e.ffn = snapshot_ffn(w, enc + ".ffn");
-    e.norm1 = snapshot_norm(w, enc + ".norm1");
-    e.norm2 = snapshot_norm(w, enc + ".norm2");
-    encoder_.push_back(std::move(e));
-
-    const std::string dec = "dec" + std::to_string(l);
-    DecoderLayerWeights d;
-    d.self = snapshot_attention(w, dec + ".self", cfg_.d_model, d_head_);
-    d.cross = snapshot_attention(w, dec + ".cross", cfg_.d_model, d_head_);
-    d.ffn = snapshot_ffn(w, dec + ".ffn");
-    d.norm1 = snapshot_norm(w, dec + ".norm1");
-    d.norm2 = snapshot_norm(w, dec + ".norm2");
-    d.norm3 = snapshot_norm(w, dec + ".norm3");
-    decoder_.push_back(std::move(d));
-  }
-
-  // Float32 mirror, taken in the same compile so both tiers are always
-  // available at decode time.  Narrowing happens after head fusing, so the
-  // mirrors stay structurally identical to the double snapshot.
-  src_embed_f_ = TensorF::from(src_embed_);
-  tgt_embed_f_ = TensorF::from(tgt_embed_);
-  pos_f_ = TensorF::from(pos_);
-  out_w_f_ = TensorF::from(out_w_);
-  out_b_f_ = TensorF::from(out_b_);
-  encoder_f_.reserve(encoder_.size());
-  for (const EncoderLayerWeights& e : encoder_) encoder_f_.push_back(narrow(e));
-  decoder_f_.reserve(decoder_.size());
-  for (const DecoderLayerWeights& d : decoder_) decoder_f_.push_back(narrow(d));
-}
+    : cfg_(model.config()),
+      d_head_(cfg_.d_model / cfg_.n_heads),
+      f64_(snapshot<double>(model, d_head_)),
+      f32_(snapshot<float>(model, d_head_)) {}
 
 Tensor InferenceEngine::encode(const std::vector<TokenId>& src) const {
-  return encode_impl(src, src_embed_, pos_, encoder_, cfg_, d_head_);
+  return encode_impl(src, f64_, cfg_, d_head_);
 }
 
 TensorF InferenceEngine::encode_f32(const std::vector<TokenId>& src) const {
-  return encode_impl(src, src_embed_f_, pos_f_, encoder_f_, cfg_, d_head_);
+  return encode_impl(src, f32_, cfg_, d_head_);
 }
 
 InferenceEngine::Session::Session(const InferenceEngine& engine,
@@ -386,45 +360,33 @@ InferenceEngine::Session::Session(const InferenceEngine& engine,
       precision_(
           validated_precision(precision, "InferenceEngine::Session")),
       logits_(1, engine.cfg_.vocab_size) {
-  const size_t layers = eng_.decoder_.size();
-  const size_t d = static_cast<size_t>(engine.cfg_.d_model);
   if (precision_ == Precision::kDouble) {
-    memory_ = engine.encode(src);
-    cross_k_.resize(layers);
-    cross_v_.resize(layers);
-    self_k_.resize(layers);
-    self_v_.resize(layers);
-    x_.resize(d);
-    row_.resize(d);
-    ctx_.resize(d);
-    out_.resize(d);
-    if (!eng_.decoder_.empty()) {
-      ff_.resize(static_cast<size_t>(eng_.decoder_[0].ffn.w_in.cols()));
-    }
-    for (size_t l = 0; l < layers; ++l) {
-      // The reference recomputes K/V from the (fixed) memory every step; the
-      // values never change, so computing them once per request is exact.
-      matmul_into(memory_, eng_.decoder_[l].cross.wk, cross_k_[l]);
-      matmul_into(memory_, eng_.decoder_[l].cross.wv, cross_v_[l]);
-    }
+    start(f64_, engine.f64_, src);
   } else {
-    memory_f_ = engine.encode_f32(src);
-    cross_kf_.resize(layers);
-    cross_vf_.resize(layers);
-    self_kf_.resize(layers);
-    self_vf_.resize(layers);
-    xf_.resize(d);
-    rowf_.resize(d);
-    ctxf_.resize(d);
-    outf_.resize(d);
-    logitsf_.resize(static_cast<size_t>(engine.cfg_.vocab_size));
-    if (!eng_.decoder_f_.empty()) {
-      fff_.resize(static_cast<size_t>(eng_.decoder_f_[0].ffn.w_in.cols()));
-    }
-    for (size_t l = 0; l < layers; ++l) {
-      matmul_into(memory_f_, eng_.decoder_f_[l].cross.wk, cross_kf_[l]);
-      matmul_into(memory_f_, eng_.decoder_f_[l].cross.wv, cross_vf_[l]);
-    }
+    start(f32_, engine.f32_, src);
+  }
+}
+
+template <typename T>
+void InferenceEngine::Session::start(State<T>& s, const ModelWeights<T>& w,
+                                     const std::vector<TokenId>& src) {
+  const size_t layers = w.decoder.size();
+  const size_t d = static_cast<size_t>(eng_.cfg_.d_model);
+  s.memory = encode_impl(src, w, eng_.cfg_, eng_.d_head_);
+  s.cross_k.resize(layers);
+  s.cross_v.resize(layers);
+  s.self_k.resize(layers);
+  s.self_v.resize(layers);
+  s.x.resize(d);
+  s.row.resize(d);
+  s.ctx.resize(d);
+  s.out.resize(d);
+  s.logits.resize(static_cast<size_t>(eng_.cfg_.vocab_size));
+  for (size_t l = 0; l < layers; ++l) {
+    // The reference recomputes K/V from the (fixed) memory every step; the
+    // values never change, so computing them once per request is exact.
+    matmul_into(s.memory, w.decoder[l].cross.wk, s.cross_k[l]);
+    matmul_into(s.memory, w.decoder[l].cross.wv, s.cross_v[l]);
   }
 }
 
@@ -436,40 +398,46 @@ const Tensor& InferenceEngine::Session::step(TokenId token) {
         std::to_string(length_ + 1) + " exceeds the positional table (max_len " +
         std::to_string(cfg.max_len) + ")");
   }
-  if (token < 0 || token >= eng_.tgt_embed_.rows()) {
+  if (token < 0 || token >= cfg.vocab_size) {
     throw InvalidArgument("InferenceEngine::Session::step: token id out of range");
   }
-  if (precision_ == Precision::kFloat32) {
-    step_f32(token);
-    ++length_;
-    return logits_;
+  if (precision_ == Precision::kDouble) {
+    advance(f64_, eng_.f64_, token);
+  } else {
+    advance(f32_, eng_.f32_, token);
   }
-  const int64_t d = cfg.d_model;
-  const double sqrt_d = std::sqrt(static_cast<double>(d));
-  std::vector<double>& x = x_;
+  ++length_;
+  return logits_;
+}
+
+template <typename T>
+void InferenceEngine::Session::advance(State<T>& s, const ModelWeights<T>& w,
+                                       TokenId token) {
+  const int64_t d = eng_.cfg_.d_model;
+  const T sqrt_d = std::sqrt(static_cast<T>(d));
+  std::vector<T>& x = s.x;
+  std::vector<T>& row = s.row;
+  std::vector<T>& ctx = s.ctx;
+  std::vector<T>& out = s.out;
+  std::vector<T>& ff = s.ff;
   for (int64_t c = 0; c < d; ++c) {
     x[static_cast<size_t>(c)] =
-        eng_.tgt_embed_(token, c) * sqrt_d + eng_.pos_(length_, c);
+        w.tgt_embed(token, c) * sqrt_d + w.pos(length_, c);
   }
 
-  std::vector<double>& row = row_;
-  std::vector<double>& ctx = ctx_;
-  std::vector<double>& out = out_;
-  std::vector<double>& scores = scores_;
-  std::vector<double>& ff = ff_;
-  for (size_t l = 0; l < eng_.decoder_.size(); ++l) {
-    const DecoderLayerWeights& layer = eng_.decoder_[l];
+  for (size_t l = 0; l < w.decoder.size(); ++l) {
+    const DecoderLayerWeights<T>& layer = w.decoder[l];
 
     // Masked self-attention: project this position's K/V once, append to the
     // cache, attend the query against every cached position.  The causal mask
     // is implicit — the cache only holds positions <= this one.
     project_row(x.data(), layer.self.wk, row.data());
-    self_k_[l].insert(self_k_[l].end(), row.begin(), row.end());
+    s.self_k[l].insert(s.self_k[l].end(), row.begin(), row.end());
     project_row(x.data(), layer.self.wv, row.data());
-    self_v_[l].insert(self_v_[l].end(), row.begin(), row.end());
+    s.self_v[l].insert(s.self_v[l].end(), row.begin(), row.end());
     project_row(x.data(), layer.self.wq, row.data());
-    attend_row(row.data(), self_k_[l].data(), self_v_[l].data(), length_ + 1, d,
-               eng_.d_head_, ctx.data(), scores);
+    attend_row(row.data(), s.self_k[l].data(), s.self_v[l].data(), length_ + 1,
+               d, eng_.d_head_, ctx.data(), s.scores);
     project_row(ctx.data(), layer.self.wo, out.data());
     add_bias_row(out.data(), layer.self.bo);
     for (int64_t c = 0; c < d; ++c) x[static_cast<size_t>(c)] += out[static_cast<size_t>(c)];
@@ -477,8 +445,9 @@ const Tensor& InferenceEngine::Session::step(TokenId token) {
 
     // Cross-attention against the precomputed memory K/V.
     project_row(x.data(), layer.cross.wq, row.data());
-    attend_row(row.data(), cross_k_[l].data().data(), cross_v_[l].data().data(),
-               memory_.rows(), d, eng_.d_head_, ctx.data(), scores);
+    attend_row(row.data(), s.cross_k[l].data().data(),
+               s.cross_v[l].data().data(), s.memory.rows(), d, eng_.d_head_,
+               ctx.data(), s.scores);
     project_row(ctx.data(), layer.cross.wo, out.data());
     add_bias_row(out.data(), layer.cross.bo);
     for (int64_t c = 0; c < d; ++c) x[static_cast<size_t>(c)] += out[static_cast<size_t>(c)];
@@ -488,79 +457,19 @@ const Tensor& InferenceEngine::Session::step(TokenId token) {
     ff.resize(static_cast<size_t>(layer.ffn.w_in.cols()));
     project_row(x.data(), layer.ffn.w_in, ff.data());
     add_bias_row(ff.data(), layer.ffn.b_in);
-    for (double& v : ff) v = v > 0.0 ? v : 0.0;
+    for (T& v : ff) v = v > T(0) ? v : T(0);
     project_row(ff.data(), layer.ffn.w_out, out.data());
     add_bias_row(out.data(), layer.ffn.b_out);
     for (int64_t c = 0; c < d; ++c) x[static_cast<size_t>(c)] += out[static_cast<size_t>(c)];
     layer_norm_row(x.data(), d, layer.norm3);
   }
 
-  project_row(x.data(), eng_.out_w_, &logits_(0, 0));
-  add_bias_row(&logits_(0, 0), eng_.out_b_);
-  ++length_;
-  return logits_;
-}
-
-// Float32 mirror of the double step body above: same kernels (templated),
-// same order, half the bytes per weight read.  The logits are widened into
-// the shared double row at the end — widening is monotone and tie-preserving,
-// so argmax over the widened row equals argmax over the float row and every
-// downstream decode loop stays tier-agnostic.  length_ is advanced by the
-// caller (step()).
-void InferenceEngine::Session::step_f32(TokenId token) {
-  const TransformerConfig& cfg = eng_.cfg_;
-  const int64_t d = cfg.d_model;
-  const float sqrt_d = std::sqrt(static_cast<float>(d));
-  std::vector<float>& x = xf_;
-  for (int64_t c = 0; c < d; ++c) {
-    x[static_cast<size_t>(c)] =
-        eng_.tgt_embed_f_(token, c) * sqrt_d + eng_.pos_f_(length_, c);
-  }
-
-  std::vector<float>& row = rowf_;
-  std::vector<float>& ctx = ctxf_;
-  std::vector<float>& out = outf_;
-  std::vector<float>& scores = scoresf_;
-  std::vector<float>& ff = fff_;
-  for (size_t l = 0; l < eng_.decoder_f_.size(); ++l) {
-    const DecoderLayerWeightsT<TensorF>& layer = eng_.decoder_f_[l];
-
-    project_row(x.data(), layer.self.wk, row.data());
-    self_kf_[l].insert(self_kf_[l].end(), row.begin(), row.end());
-    project_row(x.data(), layer.self.wv, row.data());
-    self_vf_[l].insert(self_vf_[l].end(), row.begin(), row.end());
-    project_row(x.data(), layer.self.wq, row.data());
-    attend_row(row.data(), self_kf_[l].data(), self_vf_[l].data(), length_ + 1,
-               d, eng_.d_head_, ctx.data(), scores);
-    project_row(ctx.data(), layer.self.wo, out.data());
-    add_bias_row(out.data(), layer.self.bo);
-    for (int64_t c = 0; c < d; ++c) x[static_cast<size_t>(c)] += out[static_cast<size_t>(c)];
-    layer_norm_row(x.data(), d, layer.norm1);
-
-    project_row(x.data(), layer.cross.wq, row.data());
-    attend_row(row.data(), cross_kf_[l].data().data(),
-               cross_vf_[l].data().data(), memory_f_.rows(), d, eng_.d_head_,
-               ctx.data(), scores);
-    project_row(ctx.data(), layer.cross.wo, out.data());
-    add_bias_row(out.data(), layer.cross.bo);
-    for (int64_t c = 0; c < d; ++c) x[static_cast<size_t>(c)] += out[static_cast<size_t>(c)];
-    layer_norm_row(x.data(), d, layer.norm2);
-
-    ff.resize(static_cast<size_t>(layer.ffn.w_in.cols()));
-    project_row(x.data(), layer.ffn.w_in, ff.data());
-    add_bias_row(ff.data(), layer.ffn.b_in);
-    for (float& v : ff) v = v > 0.0f ? v : 0.0f;
-    project_row(ff.data(), layer.ffn.w_out, out.data());
-    add_bias_row(out.data(), layer.ffn.b_out);
-    for (int64_t c = 0; c < d; ++c) x[static_cast<size_t>(c)] += out[static_cast<size_t>(c)];
-    layer_norm_row(x.data(), d, layer.norm3);
-  }
-
-  project_row(x.data(), eng_.out_w_f_, logitsf_.data());
-  add_bias_row(logitsf_.data(), eng_.out_b_f_);
-  for (int64_t c = 0; c < cfg.vocab_size; ++c) {
-    logits_(0, c) = static_cast<double>(logitsf_[static_cast<size_t>(c)]);
-  }
+  project_row(x.data(), w.out_w, s.logits.data());
+  add_bias_row(s.logits.data(), w.out_b);
+  // Widening float logits is monotone and tie-preserving, so argmax over the
+  // double row equals argmax over the float row and every decode loop stays
+  // tier-agnostic.
+  std::copy(s.logits.begin(), s.logits.end(), logits_.data().begin());
 }
 
 TokenId argmax_token(const Tensor& logits) {

@@ -20,10 +20,15 @@
 //
 // Numerical contract: the engine's greedy token output is IDENTICAL — token
 // for token, bit for bit — to Transformer::greedy_decode.  Every loop here
-// replicates the accumulation order (and the zero-skip of the NN GEMM kernel
-// in tensor.cpp) of the reference ops, and fusing the head projections keeps
-// each output column's dot product unchanged because GEMM columns are
-// independent.  tests/test_infer.cpp property-tests this on trained models.
+// replicates the accumulation order of the reference ops, and fusing the
+// head projections keeps each output column's dot product unchanged because
+// GEMM columns are independent.  The engine's row kernels also skip
+// multipliers that are exactly zero, which the reference GEMM does not; a
+// zero product never changes a finite sum that starts at +0, and
+// tests/test_infer.cpp checks the logits bit for bit on trained models.
+//
+// The float32 serving tier is the float instantiation of the same code: one
+// templated weight snapshot and one templated step body serve both tiers.
 #pragma once
 
 #include <memory>
@@ -45,53 +50,57 @@ namespace ota::ml {
 nlp::TokenId argmax_token(const Tensor& logits);
 
 /// One attention site with the head projections fused column-wise: column
-/// block [h*d_head, (h+1)*d_head) of wq/wk/wv is head h's projection.
-/// Templated on the tensor type so the double reference snapshot and the
-/// float32 fast-tier snapshot share one layout (TT = Tensor or TensorF).
-template <typename TT>
-struct FusedAttentionWeightsT {
-  TT wq, wk, wv;  ///< (d_model, d_model)
-  TT wo;          ///< (d_model, d_model)
-  TT bo;          ///< (1, d_model)
+/// block [h*d_head, (h+1)*d_head) of wq/wk/wv is head h's projection.  The
+/// weight structs are templated on the scalar of the tier they serve.
+template <typename T>
+struct FusedAttentionWeights {
+  BasicTensor<T> wq, wk, wv;  ///< (d_model, d_model)
+  BasicTensor<T> wo;          ///< (d_model, d_model)
+  BasicTensor<T> bo;          ///< (1, d_model)
 };
-using FusedAttentionWeights = FusedAttentionWeightsT<Tensor>;
 
-template <typename TT>
-struct FeedForwardWeightsT {
-  TT w_in, b_in;    ///< (d_model, d_ff), (1, d_ff)
-  TT w_out, b_out;  ///< (d_ff, d_model), (1, d_model)
+template <typename T>
+struct FeedForwardWeights {
+  BasicTensor<T> w_in, b_in;    ///< (d_model, d_ff), (1, d_ff)
+  BasicTensor<T> w_out, b_out;  ///< (d_ff, d_model), (1, d_model)
 };
-using FeedForwardWeights = FeedForwardWeightsT<Tensor>;
 
-template <typename TT>
-struct LayerNormWeightsT {
-  TT gamma, beta;  ///< (1, d_model)
+template <typename T>
+struct LayerNormWeights {
+  BasicTensor<T> gamma, beta;  ///< (1, d_model)
 };
-using LayerNormWeights = LayerNormWeightsT<Tensor>;
 
-template <typename TT>
-struct EncoderLayerWeightsT {
-  FusedAttentionWeightsT<TT> self;
-  FeedForwardWeightsT<TT> ffn;
-  LayerNormWeightsT<TT> norm1, norm2;
+template <typename T>
+struct EncoderLayerWeights {
+  FusedAttentionWeights<T> self;
+  FeedForwardWeights<T> ffn;
+  LayerNormWeights<T> norm1, norm2;
 };
-using EncoderLayerWeights = EncoderLayerWeightsT<Tensor>;
 
-template <typename TT>
-struct DecoderLayerWeightsT {
-  FusedAttentionWeightsT<TT> self, cross;
-  FeedForwardWeightsT<TT> ffn;
-  LayerNormWeightsT<TT> norm1, norm2, norm3;
+template <typename T>
+struct DecoderLayerWeights {
+  FusedAttentionWeights<T> self, cross;
+  FeedForwardWeights<T> ffn;
+  LayerNormWeights<T> norm1, norm2, norm3;
 };
-using DecoderLayerWeights = DecoderLayerWeightsT<Tensor>;
+
+/// One tier's complete weight snapshot.
+template <typename T>
+struct ModelWeights {
+  BasicTensor<T> src_embed, tgt_embed;  ///< (vocab, d_model)
+  BasicTensor<T> pos;                   ///< (max_len, d_model) positions
+  std::vector<EncoderLayerWeights<T>> encoder;
+  std::vector<DecoderLayerWeights<T>> decoder;
+  BasicTensor<T> out_w;  ///< (d_model, vocab)
+  BasicTensor<T> out_b;  ///< (1, vocab)
+};
 
 class InferenceEngine {
  public:
-  /// Snapshots the model's weights — the double reference copy plus a
-  /// float32 mirror for the fast tier (taken in the same compile, so both
-  /// tiers are always available at decode time).  The engine keeps no
-  /// reference to the Transformer; retraining or mutating it does not
-  /// affect the engine.
+  /// Snapshots the model's weights once per tier — double (the reference)
+  /// and float32 — so both tiers are always available at decode time.  The
+  /// engine keeps no reference to the Transformer; retraining or mutating
+  /// it does not affect the engine.
   explicit InferenceEngine(const Transformer& model);
 
   const TransformerConfig& config() const { return cfg_; }
@@ -101,9 +110,9 @@ class InferenceEngine {
   /// longer than the positional table.
   Tensor encode(const std::vector<nlp::TokenId>& src) const;
 
-  /// Float32-tier encoder memory: the same pass through the f32 weight
-  /// snapshot and SIMD kernels.  Exposed for the kernel-accuracy tests; the
-  /// decode paths reach it through Session's precision argument.
+  /// Float32-tier encoder memory: the same pass over the f32 snapshot.
+  /// Exposed for the kernel-accuracy tests; the decode paths reach it
+  /// through Session's precision argument.
   TensorF encode_f32(const std::vector<nlp::TokenId>& src) const;
 
   /// Greedy decode.  At Precision::kDouble (the default) the output is
@@ -161,46 +170,39 @@ class InferenceEngine {
     Precision precision() const { return precision_; }
 
    private:
-    void step_f32(nlp::TokenId token);
+    /// One tier's decode state: the encoder memory, the cross-attention K/V
+    /// of every decoder layer (computed once), the self-attention KV cache
+    /// (row-major, one d_model row appended per step) and scratch rows
+    /// reused across steps (hot path: no per-token allocation).
+    template <typename T>
+    struct State {
+      BasicTensor<T> memory;  ///< (L_src, d_model)
+      std::vector<BasicTensor<T>> cross_k, cross_v;
+      std::vector<std::vector<T>> self_k, self_v;
+      std::vector<T> x, row, ctx, out, scores, ff, logits;
+    };
+
+    template <typename T>
+    void start(State<T>& s, const ModelWeights<T>& w,
+               const std::vector<nlp::TokenId>& src);
+    template <typename T>
+    void advance(State<T>& s, const ModelWeights<T>& w, nlp::TokenId token);
 
     const InferenceEngine& eng_;
     Precision precision_ = Precision::kDouble;
-    Tensor memory_;  ///< (L_src, d_model); double tier only
-    /// Per decoder layer: cross-attention K/V (L_src, d_model), computed once.
-    std::vector<Tensor> cross_k_, cross_v_;
-    /// Per decoder layer: self-attention KV cache, row-major (length_ rows of
-    /// d_model doubles), appended one row per step.
-    std::vector<std::vector<double>> self_k_, self_v_;
-    /// Scratch rows reused across steps (hot path: no per-token allocation).
-    std::vector<double> x_, row_, ctx_, out_, scores_, ff_;
-    /// Float32-tier state, the exact mirror of the double members above.
-    /// Only one tier's state is ever allocated per session.
-    TensorF memory_f_;
-    std::vector<TensorF> cross_kf_, cross_vf_;
-    std::vector<std::vector<float>> self_kf_, self_vf_;
-    std::vector<float> xf_, rowf_, ctxf_, outf_, scoresf_, fff_, logitsf_;
-    Tensor logits_;  ///< (1, vocab); f32 steps widen into it
+    /// Only the session's own tier is ever populated.
+    State<double> f64_;
+    State<float> f32_;
+    Tensor logits_;  ///< (1, vocab); each step copies (f32: widens) into it
     int64_t length_ = 0;
   };
 
  private:
-  friend class Session;
-
   TransformerConfig cfg_;
   int64_t d_head_ = 0;
-  Tensor src_embed_, tgt_embed_;  ///< (vocab, d_model)
-  Tensor pos_;                    ///< (max_len, d_model) positional table
-  std::vector<EncoderLayerWeights> encoder_;
-  std::vector<DecoderLayerWeights> decoder_;
-  Tensor out_w_;  ///< (d_model, vocab)
-  Tensor out_b_;  ///< (1, vocab)
-
-  /// Float32 mirror of the whole snapshot, for Precision::kFloat32 sessions:
-  /// half the memory traffic per decode step on the same fused layout.
-  TensorF src_embed_f_, tgt_embed_f_, pos_f_;
-  std::vector<EncoderLayerWeightsT<TensorF>> encoder_f_;
-  std::vector<DecoderLayerWeightsT<TensorF>> decoder_f_;
-  TensorF out_w_f_, out_b_f_;
+  ModelWeights<double> f64_;
+  /// Half the memory traffic per decode step on the same fused layout.
+  ModelWeights<float> f32_;
 };
 
 }  // namespace ota::ml

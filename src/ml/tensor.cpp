@@ -7,18 +7,23 @@
 
 namespace ota::ml {
 
-Tensor Tensor::xavier(int64_t rows, int64_t cols, Rng& rng) {
-  Tensor t(rows, cols);
+template <typename T>
+BasicTensor<T> BasicTensor<T>::xavier(int64_t rows, int64_t cols, Rng& rng) {
+  BasicTensor t(rows, cols);
   const double bound = std::sqrt(6.0 / static_cast<double>(rows + cols));
   for (auto& v : t.data()) v = rng.uniform(-bound, bound);
   return t;
 }
 
-double Tensor::norm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
+template <typename T>
+T BasicTensor<T>::norm() const {
+  T acc = 0;
+  for (T v : data_) acc += v * v;
   return std::sqrt(acc);
 }
+
+// The training-side helpers above are built for the double tensor only.
+template class BasicTensor<double>;
 
 namespace {
 
@@ -173,9 +178,10 @@ void tn_driver(const double* a, const double* b, double* c, int64_t m,
 }
 
 // One entry point serving all three transpose modes, with an accumulate
-// flag.
-template <Mode M, bool Acc>
-void gemm(const Tensor& a, const Tensor& b, Tensor& c) {
+// flag.  The float instantiation serves only NN (the f32 inference tier).
+template <Mode M, bool Acc, typename T>
+void gemm(const BasicTensor<T>& a, const BasicTensor<T>& b,
+          BasicTensor<T>& c) {
   const int64_t m = M == Mode::TN ? a.cols() : a.rows();
   const int64_t k = M == Mode::TN ? a.rows() : a.cols();
   const int64_t n = M == Mode::NT ? b.rows() : b.cols();
@@ -186,13 +192,13 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c) {
       throw InvalidArgument("matmul: output shape mismatch");
     }
   } else {
-    if (c.rows() != m || c.cols() != n) c = Tensor(m, n);
+    if (c.rows() != m || c.cols() != n) c = BasicTensor<T>(m, n);
     c.zero();
   }
 
-  const double* ad = a.data().data();
-  const double* bd = b.data().data();
-  double* cd = c.data().data();
+  const T* ad = a.data().data();
+  const T* bd = b.data().data();
+  T* cd = c.data().data();
   if constexpr (M == Mode::NN) {
     STAT_REGION("ml.gemm.nn");
     nn_driver(ad, bd, cd, m, k, n);
@@ -211,16 +217,7 @@ void matmul_into(const Tensor& a, const Tensor& b, Tensor& c) {
   gemm<Mode::NN, false>(a, b, c);
 }
 void matmul_into(const TensorF& a, const TensorF& b, TensorF& c) {
-  if (a.cols() != b.rows()) {
-    throw InvalidArgument("matmul: inner dimension mismatch");
-  }
-  if (c.rows() != a.rows() || c.cols() != b.cols()) {
-    c = TensorF(a.rows(), b.cols());
-  }
-  c.zero();
-  STAT_REGION("ml.gemm.nn");
-  nn_driver(a.data().data(), b.data().data(), c.data().data(), a.rows(),
-            a.cols(), b.cols());
+  gemm<Mode::NN, false>(a, b, c);
 }
 void matmul_nt_into(const Tensor& a, const Tensor& b, Tensor& c) {
   gemm<Mode::NT, false>(a, b, c);

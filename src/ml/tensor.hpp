@@ -2,7 +2,11 @@
 //
 // The transformer here works on 2-D row-major matrices (sequence length x
 // feature) plus 1-D vectors; double precision keeps finite-difference
-// gradient checks tight and training deterministic across platforms.
+// gradient checks tight and training deterministic across platforms.  The
+// float instantiation (TensorF) is the inference engine's f32 serving tier:
+// same layout, half the bytes per element.  Training and the bit-identity
+// reference stay double, so the training-side helpers (xavier, norm) are
+// defined for double only.
 #pragma once
 
 #include <algorithm>
@@ -14,110 +18,74 @@
 
 namespace ota::ml {
 
-class Tensor {
+template <typename T>
+class BasicTensor {
  public:
-  using value_type = double;
-
-  Tensor() = default;
+  BasicTensor() = default;
   /// Validates BEFORE sizing the storage: a negative dimension used to reach
   /// the vector constructor as a huge size_t (bad_alloc or worse) before the
   /// shape check ever ran.
-  Tensor(int64_t rows, int64_t cols, double init = 0.0)
+  BasicTensor(int64_t rows, int64_t cols, T init = T(0))
       : rows_(rows), cols_(cols) {
     if (rows <= 0 || cols <= 0) throw InvalidArgument("Tensor: bad shape");
     data_.assign(static_cast<size_t>(rows) * static_cast<size_t>(cols), init);
   }
 
-  static Tensor vector(int64_t n, double init = 0.0) { return Tensor(1, n, init); }
+  static BasicTensor vector(int64_t n, T init = T(0)) {
+    return BasicTensor(1, n, init);
+  }
+
+  /// Element-wise conversion of a tensor of another scalar type
+  /// (round-to-nearest when narrowing double to float).
+  template <typename U>
+  static BasicTensor from(const BasicTensor<U>& t) {
+    BasicTensor out;
+    out.rows_ = t.rows();
+    out.cols_ = t.cols();
+    out.data_.assign(t.data().begin(), t.data().end());
+    return out;
+  }
 
   /// Xavier/Glorot uniform initialization for weight matrices.
-  static Tensor xavier(int64_t rows, int64_t cols, Rng& rng);
+  static BasicTensor xavier(int64_t rows, int64_t cols, Rng& rng);
 
   int64_t rows() const { return rows_; }
   int64_t cols() const { return cols_; }
   int64_t size() const { return rows_ * cols_; }
-  bool same_shape(const Tensor& o) const {
+  bool same_shape(const BasicTensor& o) const {
     return rows_ == o.rows_ && cols_ == o.cols_;
   }
 
-  double& operator()(int64_t r, int64_t c) {
+  T& operator()(int64_t r, int64_t c) {
     return data_[static_cast<size_t>(r * cols_ + c)];
   }
-  double operator()(int64_t r, int64_t c) const {
+  T operator()(int64_t r, int64_t c) const {
     return data_[static_cast<size_t>(r * cols_ + c)];
   }
-  double& at(int64_t i) { return data_[static_cast<size_t>(i)]; }
-  double at(int64_t i) const { return data_[static_cast<size_t>(i)]; }
+  T& at(int64_t i) { return data_[static_cast<size_t>(i)]; }
+  T at(int64_t i) const { return data_[static_cast<size_t>(i)]; }
 
-  std::vector<double>& data() { return data_; }
-  const std::vector<double>& data() const { return data_; }
+  std::vector<T>& data() { return data_; }
+  const std::vector<T>& data() const { return data_; }
 
-  void fill(double v) { std::fill(data_.begin(), data_.end(), v); }
-  void zero() { fill(0.0); }
+  void fill(T v) { std::fill(data_.begin(), data_.end(), v); }
+  void zero() { fill(T(0)); }
 
   /// Frobenius norm, for gradient clipping.
-  double norm() const;
+  T norm() const;
 
  private:
   int64_t rows_ = 0;
   int64_t cols_ = 0;
-  std::vector<double> data_;
+  std::vector<T> data_;
 };
 
-/// Float32 companion of Tensor for the inference engine's fast tier: same
-/// row-major 2-D layout, half the bytes per element.  It exists only as a
-/// weight/activation snapshot format on the decode path (training and the
-/// bit-identity reference stay double), so it carries none of Tensor's
-/// training-side helpers.
-class TensorF {
- public:
-  using value_type = float;
+using Tensor = BasicTensor<double>;
+using TensorF = BasicTensor<float>;
 
-  TensorF() = default;
-  TensorF(int64_t rows, int64_t cols, float init = 0.0f)
-      : rows_(rows), cols_(cols) {
-    if (rows <= 0 || cols <= 0) throw InvalidArgument("TensorF: bad shape");
-    data_.assign(static_cast<size_t>(rows) * static_cast<size_t>(cols), init);
-  }
-
-  /// Narrowing snapshot of a double tensor (round-to-nearest per element).
-  static TensorF from(const Tensor& t) {
-    TensorF f(t.rows(), t.cols());
-    for (int64_t i = 0; i < t.size(); ++i) {
-      f.data_[static_cast<size_t>(i)] = static_cast<float>(t.at(i));
-    }
-    return f;
-  }
-
-  int64_t rows() const { return rows_; }
-  int64_t cols() const { return cols_; }
-  int64_t size() const { return rows_ * cols_; }
-
-  float& operator()(int64_t r, int64_t c) {
-    return data_[static_cast<size_t>(r * cols_ + c)];
-  }
-  float operator()(int64_t r, int64_t c) const {
-    return data_[static_cast<size_t>(r * cols_ + c)];
-  }
-  float& at(int64_t i) { return data_[static_cast<size_t>(i)]; }
-  float at(int64_t i) const { return data_[static_cast<size_t>(i)]; }
-
-  std::vector<float>& data() { return data_; }
-  const std::vector<float>& data() const { return data_; }
-
-  void zero() { std::fill(data_.begin(), data_.end(), 0.0f); }
-
- private:
-  int64_t rows_ = 0;
-  int64_t cols_ = 0;
-  std::vector<float> data_;
-};
-
-/// C = A * B (inner dimensions must agree).
+/// C = A * B (inner dimensions must agree).  The float overload runs the
+/// same cache-blocked kernel for the inference engine's f32 tier.
 void matmul_into(const Tensor& a, const Tensor& b, Tensor& c);
-/// Float32 NN GEMM through the same cache-blocked/register-tiled kernel as
-/// the double path (templated on the scalar), for the inference engine's
-/// fast tier.  Serial per call and run-to-run bit-identical, like the rest.
 void matmul_into(const TensorF& a, const TensorF& b, TensorF& c);
 /// C = A * B^T.
 void matmul_nt_into(const Tensor& a, const Tensor& b, Tensor& c);

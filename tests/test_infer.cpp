@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <map>
 #include <utility>
@@ -90,7 +91,8 @@ TEST(InferenceEngine, GreedyMatchesReferenceOnTrainedModels) {
 
 TEST(InferenceEngine, IncrementalLogitsMatchFullRecompute) {
   // The KV cache makes each step one-row work; the logits it produces must
-  // agree with re-running the full decoder over the whole prefix.
+  // equal, bit for bit, those of re-running the full decoder over the whole
+  // prefix.
   const Transformer& model = trained_model(5, 60);
   const InferenceEngine engine(model);
   Rng rng(0);
@@ -104,8 +106,10 @@ TEST(InferenceEngine, IncrementalLogitsMatchFullRecompute) {
       const int64_t last = full->value.rows() - 1;
       ASSERT_EQ(incremental.cols(), full->value.cols());
       for (int64_t c = 0; c < incremental.cols(); ++c) {
-        ASSERT_NEAR(incremental(0, c), full->value(last, c), 1e-9)
-            << "step " << step << " column " << c;
+        ASSERT_EQ(std::bit_cast<uint64_t>(incremental(0, c)),
+                  std::bit_cast<uint64_t>(full->value(last, c)))
+            << "step " << step << " column " << c << ": "
+            << incremental(0, c) << " vs " << full->value(last, c);
       }
       // Continue along the greedy path.
       TokenId best = 0;
@@ -374,28 +378,15 @@ TEST(SizingModelInfer, SaveLoadRoundTripsV2Format) {
   std::remove((prefix + ".model").c_str());
 }
 
-TEST(SizingModelInfer, LoadAcceptsLegacyRawStructFormat) {
-  // Pre-version model files started with a raw TransformerConfig dump; load
-  // must still read them (same-platform best effort).
-  const SizingModel& model = trained_sizing_model();
-  const std::string prefix =
-      (std::filesystem::temp_directory_path() / "ota_infer_legacy").string();
-  {
-    std::ofstream bpe(prefix + ".bpe");
-    bpe << model.tokenizer().serialize();
+/// Writes a v2 model-file header for `cfg` in SizingModel::save's layout.
+void write_v2_header(std::ostream& os, const ml::TransformerConfig& cfg) {
+  os.write("otasmdl2", 8);
+  for (const int64_t f : {cfg.vocab_size, cfg.d_model, cfg.n_heads,
+                          cfg.n_layers, cfg.d_ff, cfg.max_len}) {
+    os.write(reinterpret_cast<const char*>(&f), sizeof f);
   }
-  {
-    std::ofstream mdl(prefix + ".model", std::ios::binary);
-    const auto& cfg = model.transformer().config();
-    mdl.write(reinterpret_cast<const char*>(&cfg), sizeof cfg);
-    model.transformer().save(mdl);
-  }
-  SizingModel loaded;
-  ASSERT_TRUE(loaded.load(prefix));
-  EXPECT_EQ(loaded.predict("gain=43 bw=14", 64),
-            model.predict("gain=43 bw=14", 64));
-  std::remove((prefix + ".bpe").c_str());
-  std::remove((prefix + ".model").c_str());
+  os.write(reinterpret_cast<const char*>(&cfg.dropout), sizeof cfg.dropout);
+  os.write(reinterpret_cast<const char*>(&cfg.seed), sizeof cfg.seed);
 }
 
 TEST(SizingModelInfer, LoadRejectsCorruptV2Header) {
@@ -410,19 +401,49 @@ TEST(SizingModelInfer, LoadRejectsCorruptV2Header) {
     bpe << model.tokenizer().serialize();
   }
   {
+    ml::TransformerConfig zero_heads = model.transformer().config();
+    zero_heads.n_heads = 0;
     std::ofstream mdl(prefix + ".model", std::ios::binary);
-    mdl.write("otasmdl2", 8);
-    const int64_t vocab = 70, d_model = 16, n_heads = 0, n_layers = 1,
-                  d_ff = 32, max_len = 256;
-    const double dropout = 0.1;
-    const uint64_t seed = 7;
-    for (const int64_t* f : {&vocab, &d_model, &n_heads, &n_layers, &d_ff, &max_len}) {
-      mdl.write(reinterpret_cast<const char*>(f), sizeof(int64_t));
-    }
-    mdl.write(reinterpret_cast<const char*>(&dropout), sizeof dropout);
-    mdl.write(reinterpret_cast<const char*>(&seed), sizeof seed);
+    write_v2_header(mdl, zero_heads);
   }
   SizingModel loaded;
+  EXPECT_THROW((void)loaded.load(prefix), InvalidArgument);
+  std::remove((prefix + ".bpe").c_str());
+  std::remove((prefix + ".model").c_str());
+}
+
+TEST(SizingModelInfer, LoadRejectsHeadersImplyingUnboundedAllocations) {
+  // Each header passes the per-field range checks but sizes the model far
+  // beyond what the file justifies.  Load must throw InvalidArgument before
+  // allocating, not die with bad_alloc inside the Transformer constructor.
+  const SizingModel& model = trained_sizing_model();
+  const std::string prefix =
+      (std::filesystem::temp_directory_path() / "ota_infer_unbounded").string();
+  {
+    std::ofstream bpe(prefix + ".bpe");
+    bpe << model.tokenizer().serialize();
+  }
+  // A 72-byte, header-only file claiming vocab 2^24 x d_model 2^16.
+  ml::TransformerConfig huge = model.transformer().config();
+  huge.vocab_size = int64_t{1} << 24;
+  huge.d_model = int64_t{1} << 16;
+  {
+    std::ofstream mdl(prefix + ".model", std::ios::binary);
+    write_v2_header(mdl, huge);
+  }
+  SizingModel loaded;
+  EXPECT_THROW((void)loaded.load(prefix), InvalidArgument);
+
+  // The model's own weights behind a header asking for a 2^24-row
+  // positional table: the file holds every stored weight, and the table is
+  // computed, so only its own bound can refuse it.
+  ml::TransformerConfig long_table = model.transformer().config();
+  long_table.max_len = int64_t{1} << 24;
+  {
+    std::ofstream mdl(prefix + ".model", std::ios::binary);
+    write_v2_header(mdl, long_table);
+    model.transformer().save(mdl);
+  }
   EXPECT_THROW((void)loaded.load(prefix), InvalidArgument);
   std::remove((prefix + ".bpe").c_str());
   std::remove((prefix + ".model").c_str());
