@@ -9,10 +9,7 @@
 // — the paper's designer-in-the-loop margin allocation.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -58,17 +55,13 @@ struct CopilotOptions {
   /// (one batched sweep per candidate).  `measure.threads` stays 1 here
   /// because campaigns shard whole sizing runs across the pool.
   spice::MeasureOptions measure{};
-  /// Cooperative cancellation: once the owner sets *cancel, size() throws
-  /// ota::Cancelled at the next stage boundary, and any in-flight
-  /// scheduler-backed decode retires from the dynamic batch mid-round.
-  /// null (default) = not cancellable.  Under a CampaignServer this slot is
-  /// owned by the job — use Job::cancel(), not a caller-supplied flag.
-  std::shared_ptr<std::atomic<bool>> cancel{};
-  /// Absolute steady-clock deadline for the whole campaign; past it size()
-  /// throws ota::Cancelled at the next stage boundary (and in-flight
-  /// decodes retire the same way).  max() (default) = no deadline.
-  std::chrono::steady_clock::time_point deadline =
-      std::chrono::steady_clock::time_point::max();
+  /// Cooperative cancellation: once this token fires (its owner cancels it
+  /// or its deadline passes), size() throws ota::Cancelled at the next stage
+  /// boundary, and any in-flight scheduler-backed decode retires from the
+  /// dynamic batch mid-round.  The default token never fires.  Under a
+  /// CampaignServer the job owns this token: leave it unset and use
+  /// Job::cancel() and CampaignRequest::deadline_seconds.
+  CancelToken cancel{};
 };
 
 struct SizingOutcome {

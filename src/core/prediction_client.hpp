@@ -10,50 +10,20 @@
 // serial client below is the bit-identity reference — the scheduler-backed
 // path must produce byte-identical decoder text for every request.
 //
-// Cancellation rides the same seam: a CancelSignal (cooperative flag +
-// absolute deadline) accompanies each submit, so a cancelled campaign's
-// in-flight decode can retire from the dynamic batch mid-round instead of
-// decoding tokens nobody will read.
+// Cancellation rides the same seam: the campaign's ota::CancelToken
+// accompanies each submit, so a cancelled campaign's in-flight decode can
+// retire from the dynamic batch mid-round instead of decoding tokens nobody
+// will read.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <memory>
 #include <string>
 
-#include "common/error.hpp"
+#include "common/cancel.hpp"
 #include "core/predictor.hpp"
 #include "ml/precision.hpp"
 
 namespace ota::core {
-
-/// Cooperative cancellation context for one campaign or prediction: an
-/// optional shared flag (e.g. set by serve::CampaignServer::Job::cancel)
-/// and an optional absolute deadline.  Value-copied freely; default state
-/// means "never cancelled".
-struct CancelSignal {
-  std::shared_ptr<const std::atomic<bool>> flag{};
-  std::chrono::steady_clock::time_point deadline =
-      std::chrono::steady_clock::time_point::max();
-
-  bool cancel_requested() const {
-    return flag && flag->load(std::memory_order_acquire);
-  }
-  bool expired() const {
-    return deadline != std::chrono::steady_clock::time_point::max() &&
-           std::chrono::steady_clock::now() >= deadline;
-  }
-  /// Stage-boundary checkpoint: throws ota::Cancelled when the flag is set
-  /// or the deadline has passed.  `where` names the boundary for the error.
-  void check(const char* where) const {
-    if (cancel_requested()) {
-      throw Cancelled(std::string(where) + ": campaign cancelled by caller");
-    }
-    if (expired()) {
-      throw Cancelled(std::string(where) + ": campaign deadline exceeded");
-    }
-  }
-};
 
 /// Submit an encoder text now, collect the decoded text later.
 class PredictionClient {
@@ -73,20 +43,13 @@ class PredictionClient {
   /// serial reference) or hand off to a batch scheduler; either way wait()
   /// on the handle yields text bit-identical to
   /// `predictor.predict_batch({encoder_text}, max_tokens, 1).front()`.
-  /// `cancel` is a cooperative signal implementations must honor at their
-  /// natural granularity: the serial client checks it once at submit time,
-  /// the scheduler-backed client threads it into the decode scheduler so an
-  /// in-flight decode retires mid-round.  A cancelled request's wait()
-  /// rethrows ota::Cancelled.
+  /// Implementations must honor `cancel` at their natural granularity: the
+  /// serial client checks it once at submit time, the scheduler-backed
+  /// client hands it to the decode scheduler so an in-flight decode retires
+  /// mid-round.  A cancelled request's wait() rethrows ota::Cancelled.
   virtual std::unique_ptr<Handle> submit(const std::string& encoder_text,
                                          int max_tokens,
-                                         const CancelSignal& cancel) = 0;
-
-  /// Convenience overload: no cancellation context.
-  std::unique_ptr<Handle> submit(const std::string& encoder_text,
-                                 int max_tokens) {
-    return submit(encoder_text, max_tokens, CancelSignal{});
-  }
+                                         const CancelToken& cancel) = 0;
 };
 
 /// The reference implementation: predicts synchronously on the submitting
@@ -104,10 +67,9 @@ class SerialPredictionClient : public PredictionClient {
         precision_(
             ml::validated_precision(precision, "SerialPredictionClient")) {}
 
-  using PredictionClient::submit;
   std::unique_ptr<Handle> submit(const std::string& encoder_text,
                                  int max_tokens,
-                                 const CancelSignal& cancel) override {
+                                 const CancelToken& cancel) override {
     class Ready : public Handle {
      public:
       explicit Ready(std::string text) : text_(std::move(text)) {}

@@ -31,6 +31,12 @@ DecodeScheduler::Options validated(DecodeScheduler::Options opt) {
   return opt;
 }
 
+/// Every Cancelled a ticket resolves with is built here.
+std::exception_ptr cancelled(const std::string& what) {
+  return std::make_exception_ptr(
+      Cancelled("DecodeScheduler: request " + what));
+}
+
 }  // namespace
 
 /// One live sequence in the dynamic batch.  Owned by the scheduler thread;
@@ -85,21 +91,6 @@ bool DecodeScheduler::Ticket::done() const {
   return finished;
 }
 
-void DecodeScheduler::Ticket::cancel() {
-  cancel_flag.store(true, std::memory_order_release);
-}
-
-bool DecodeScheduler::Ticket::cancel_requested() const {
-  return cancel_flag.load(std::memory_order_acquire) ||
-         (sub.cancel && sub.cancel->load(std::memory_order_acquire));
-}
-
-bool DecodeScheduler::Ticket::expired(
-    std::chrono::steady_clock::time_point now) const {
-  return sub.deadline != std::chrono::steady_clock::time_point::max() &&
-         now >= sub.deadline;
-}
-
 DecodeScheduler::DecodeScheduler(const InferenceEngine& engine)
     : DecodeScheduler(engine, Options()) {}
 
@@ -114,12 +105,7 @@ DecodeScheduler::DecodeScheduler(const InferenceEngine& engine, Options opt)
 DecodeScheduler::~DecodeScheduler() { shutdown(/*drain=*/true); }
 
 std::shared_ptr<DecodeScheduler::Ticket> DecodeScheduler::submit(
-    std::vector<TokenId> src, int64_t max_tokens) {
-  return submit(std::move(src), max_tokens, SubmitOptions{});
-}
-
-std::shared_ptr<DecodeScheduler::Ticket> DecodeScheduler::submit(
-    std::vector<TokenId> src, int64_t max_tokens, SubmitOptions sub) {
+    std::vector<TokenId> src, int64_t max_tokens, const CancelToken& cancel) {
   if (max_tokens <= 0) {
     throw InvalidArgument(
         "DecodeScheduler::submit: max_tokens must be positive, got " +
@@ -129,7 +115,7 @@ std::shared_ptr<DecodeScheduler::Ticket> DecodeScheduler::submit(
   auto ticket = std::make_shared<Ticket>();
   ticket->src = std::move(src);
   ticket->max_tokens = max_tokens;
-  ticket->sub = std::move(sub);
+  ticket->cancel = cancel;
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (stop_) {
@@ -221,67 +207,61 @@ void DecodeScheduler::fail_round(std::vector<ActiveRequest>& active,
 
 bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
                                 std::vector<std::shared_ptr<Ticket>>& admitted) {
-  bool cancel_everything = false;
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    // Only sleep when the batch is empty: with live sessions the loop keeps
-    // stepping and just soaks up whatever new arrivals are pending.
-    if (active.empty()) {
-      cv_.wait(lk, [this] { return stop_ || !pending_.empty(); });
-    }
-    if (stop_ && !drain_) {
-      // Drainless shutdown: answer every queued request right here so no
-      // waiter blocks forever; in-flight sessions are answered below.
-      for (const auto& t : pending_) {
-        t->error = std::make_exception_ptr(
-            Cancelled("DecodeScheduler: request cancelled by shutdown"));
-        ++stats_.cancelled;
-        publish(t);
-      }
-      pending_.clear();
-      cancel_everything = true;
-    } else if (stop_ && pending_.empty() && active.empty()) {
-      return false;  // drained
-    } else {
-      // Cancellation sweep over the wait queue: a cancelled or expired
-      // request resolves right here and never occupies a batch slot it
-      // could not use.
-      const auto now = std::chrono::steady_clock::now();
-      for (auto it = pending_.begin(); it != pending_.end();) {
-        if ((*it)->cancel_requested() || (*it)->expired(now)) {
-          (*it)->error = std::make_exception_ptr(Cancelled(
-              (*it)->cancel_requested()
-                  ? "DecodeScheduler: request cancelled before decoding"
-                  : "DecodeScheduler: request deadline exceeded before "
-                    "decoding"));
-          ++stats_.cancelled;
-          publish(*it);
-          it = pending_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      // Continuous admission: arrivals join the running batch up to
-      // max_batch; the rest queue until sequences retire.
-      while (!pending_.empty() &&
-             active.size() + admitted.size() <
-                 static_cast<size_t>(opt_.max_batch)) {
-        admitted.push_back(std::move(pending_.front()));
-        pending_.pop_front();
-      }
-    }
+  std::unique_lock<std::mutex> queue_lk(mu_);
+  // Only sleep when the batch is empty: with live sessions the loop keeps
+  // stepping and just soaks up whatever new arrivals are pending.
+  if (active.empty()) {
+    cv_.wait(queue_lk, [this] { return stop_ || !pending_.empty(); });
   }
-  if (cancel_everything) {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (auto& a : active) {
-      a.ticket->error = std::make_exception_ptr(
-          Cancelled("DecodeScheduler: request cancelled by shutdown"));
+  if (stop_ && !drain_) {
+    // Drainless shutdown: answer every queued and in-flight request right
+    // here, so no waiter blocks forever.
+    const auto resolve = [this](const std::shared_ptr<Ticket>& t) {
+      t->error = cancelled("cancelled by shutdown");
       ++stats_.cancelled;
-      publish(a.ticket);
-    }
+      publish(t);
+    };
+    for (const auto& t : pending_) resolve(t);
+    for (const auto& a : active) resolve(a.ticket);
+    pending_.clear();
     active.clear();
     return false;
   }
+  if (stop_ && pending_.empty() && active.empty()) return false;  // drained
+
+  // The round's one cancellation test, against its one clock read: a ticket
+  // whose token has fired gets its Cancelled error, naming the reason and
+  // `phase`, and the caller accounts and publishes it when its phase allows.
+  const auto now = CancelToken::Clock::now();
+  const auto cancel_if_fired = [now](Ticket& t, const char* phase) {
+    const CancelToken::Reason why = t.cancel.reason(now);
+    if (why == CancelToken::Reason::kLive) return false;
+    t.error = cancelled(std::string(why == CancelToken::Reason::kCancelled
+                                        ? "cancelled "
+                                        : "deadline exceeded ")
+                            .append(phase));
+    return true;
+  };
+
+  // Cancellation sweep over the wait queue: a fired request resolves right
+  // here and never occupies a batch slot it could not use.
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    if (cancel_if_fired(**it, "before decoding")) {
+      ++stats_.cancelled;
+      publish(*it);
+      it = pending_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  // Continuous admission: arrivals join the running batch up to max_batch;
+  // the rest queue until sequences retire.
+  while (!pending_.empty() &&
+         active.size() + admitted.size() < static_cast<size_t>(opt_.max_batch)) {
+    admitted.push_back(std::move(pending_.front()));
+    pending_.pop_front();
+  }
+  queue_lk.unlock();
 
   // Session construction (the encode pass) runs outside the queue lock so
   // submitters are never blocked behind it.  A request the engine refuses
@@ -290,13 +270,7 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
   for (auto& t : admitted) {
     ActiveRequest a;
     a.ticket = std::move(t);
-    if (a.ticket->cancel_requested() ||
-        a.ticket->expired(std::chrono::steady_clock::now())) {
-      a.ticket->error = std::make_exception_ptr(Cancelled(
-          a.ticket->cancel_requested()
-              ? "DecodeScheduler: request cancelled before decoding"
-              : "DecodeScheduler: request deadline exceeded before "
-                "decoding"));
+    if (cancel_if_fired(*a.ticket, "before decoding")) {
       {
         std::lock_guard<std::mutex> lk(mu_);
         ++stats_.cancelled;
@@ -321,18 +295,13 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
   admitted.clear();
   if (active.empty()) return true;
 
-  // Mid-flight cancellation: a live sequence whose ticket was cancelled
-  // (or whose deadline passed) retires from the dynamic batch before this
-  // round steps — its slot frees for the next admission and its waiters
-  // wake with Cancelled instead of paying for tokens nobody wants.
-  const auto round_now = std::chrono::steady_clock::now();
+  // Mid-flight cancellation: a live sequence whose token fired retires from
+  // the dynamic batch before this round steps — its slot frees for the next
+  // admission and its waiters wake with Cancelled instead of paying for
+  // tokens nobody wants.
   size_t retired_by_cancel = 0;
   for (ActiveRequest& a : active) {
-    if (a.ticket->cancel_requested() || a.ticket->expired(round_now)) {
-      a.ticket->error = std::make_exception_ptr(Cancelled(
-          a.ticket->cancel_requested()
-              ? "DecodeScheduler: request cancelled mid-decode"
-              : "DecodeScheduler: request deadline exceeded mid-decode"));
+    if (cancel_if_fired(*a.ticket, "mid-decode")) {
       a.finished = true;
       a.cancelled = true;
       ++retired_by_cancel;

@@ -22,8 +22,6 @@
 // independent of WHEN the scheduler interleaves it.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -33,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cancel.hpp"
 #include "ml/infer.hpp"
 
 namespace ota::ml {
@@ -56,20 +55,6 @@ class DecodeScheduler {
     Precision precision = Precision::kDouble;
   };
 
-  /// Per-request cancellation context for submit().  Both members are
-  /// optional; the scheduler checks them once per round, so a live sequence
-  /// retires from the dynamic batch mid-flight (its slot frees for the next
-  /// admission) rather than decoding to completion.
-  struct SubmitOptions {
-    /// External cooperative cancel flag (e.g. a campaign's): when it reads
-    /// true the request resolves with ota::Cancelled.
-    std::shared_ptr<const std::atomic<bool>> cancel{};
-    /// Absolute steady-clock deadline: past it the request resolves with
-    /// ota::Cancelled without decoding further.  max() = no deadline.
-    std::chrono::steady_clock::time_point deadline =
-        std::chrono::steady_clock::time_point::max();
-  };
-
   /// One-shot handle for a submitted request.  Created by submit(); waiters
   /// and the scheduler thread may touch it concurrently.
   class Ticket {
@@ -83,24 +68,8 @@ class DecodeScheduler {
     /// True once the outcome (tokens or error) is published.
     bool done() const;
 
-    /// Requests cooperative cancellation from any thread: the scheduler
-    /// retires the request at its next round (queued requests never join a
-    /// batch, live sequences leave the dynamic batch mid-flight) and wait()
-    /// rethrows ota::Cancelled.  Idempotent; a no-op once the ticket has
-    /// already resolved — the resolve-exactly-once contract holds either
-    /// way (a cancel can lose the race with completion).
-    void cancel();
-
-    /// True when cancellation was requested via cancel() or the external
-    /// SubmitOptions flag (regardless of whether the ticket resolved yet).
-    bool cancel_requested() const;
-
    private:
     friend class DecodeScheduler;
-    /// Deadline check, against a caller-supplied "now" so one clock read
-    /// covers a whole scheduler round.
-    bool expired(std::chrono::steady_clock::time_point now) const;
-
     mutable std::mutex mu;
     std::condition_variable cv;
     bool finished = false;
@@ -109,8 +78,7 @@ class DecodeScheduler {
     std::exception_ptr error;
     std::vector<nlp::TokenId> src;
     int64_t max_tokens = 0;
-    std::atomic<bool> cancel_flag{false};  ///< set by cancel()
-    SubmitOptions sub;                     ///< external flag + deadline
+    CancelToken cancel;  ///< the submitter's; read once per round
   };
 
   /// Spawns the scheduler thread.  `engine` must outlive the scheduler.
@@ -129,14 +97,15 @@ class DecodeScheduler {
   /// Enqueues one decode request; returns immediately.  Throws
   /// InvalidArgument for max_tokens <= 0 or after shutdown() — a request
   /// that could never be served is refused at the door, not queued.
-  /// The second overload attaches a cancellation context: the request
-  /// resolves with ota::Cancelled as soon as the scheduler observes the
-  /// flag set or the deadline passed (at round granularity), whether it is
-  /// still queued or already decoding in the dynamic batch.
+  /// Once `cancel` fires (its owner cancels it or its deadline passes) the
+  /// request resolves with ota::Cancelled at the next round, whether it is
+  /// still queued or already decoding in the dynamic batch: a live sequence
+  /// leaves the batch mid-flight and its slot frees for the next admission.
+  /// A cancel can lose the race with completion; the request still
+  /// resolves exactly once.
   std::shared_ptr<Ticket> submit(std::vector<nlp::TokenId> src,
-                                 int64_t max_tokens);
-  std::shared_ptr<Ticket> submit(std::vector<nlp::TokenId> src,
-                                 int64_t max_tokens, SubmitOptions sub);
+                                 int64_t max_tokens,
+                                 const CancelToken& cancel = {});
 
   /// Stops accepting submissions and joins the scheduler thread.
   /// drain=true serves every outstanding request first; drain=false answers

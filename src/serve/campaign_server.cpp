@@ -1,6 +1,7 @@
 #include "serve/campaign_server.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
@@ -17,25 +18,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-std::chrono::steady_clock::time_point deadline_after(
-    std::chrono::steady_clock::time_point t0, double seconds) {
-  return t0 + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(seconds));
-}
-
-/// The job's effective absolute deadline: the earlier of the caller's
-/// CopilotOptions::deadline and submit-relative deadline_seconds.
-std::chrono::steady_clock::time_point effective_deadline(
-    const CampaignRequest& request,
-    std::chrono::steady_clock::time_point submitted_at) {
-  auto deadline = request.options.deadline;
-  if (request.deadline_seconds > 0.0) {
-    deadline =
-        std::min(deadline, deadline_after(submitted_at, request.deadline_seconds));
-  }
-  return deadline;
-}
-
 /// The layer a fault site name belongs to: the segment before the first dot
 /// ("spice.dc.newton" -> "spice").
 std::string layer_of(const std::string& site) {
@@ -48,8 +30,7 @@ std::string layer_of(const std::string& site) {
 // ScheduledPredictionClient
 
 std::unique_ptr<core::PredictionClient::Handle> ScheduledPredictionClient::submit(
-    const std::string& encoder_text, int max_tokens,
-    const core::CancelSignal& cancel) {
+    const std::string& encoder_text, int max_tokens, const CancelToken& cancel) {
   class TicketHandle : public Handle {
    public:
     TicketHandle(const core::SizingModel& model,
@@ -68,18 +49,14 @@ std::unique_ptr<core::PredictionClient::Handle> ScheduledPredictionClient::submi
     std::shared_ptr<ml::DecodeScheduler::Ticket> ticket_;
   };
 
-  // The campaign's cancel flag and deadline ride into the scheduler, so a
-  // cancelled campaign's live decode retires from the dynamic batch at the
-  // next round instead of decoding to completion.
-  ml::DecodeScheduler::SubmitOptions sub;
-  sub.cancel = cancel.flag;
-  sub.deadline = cancel.deadline;
-  // Same tokenizer both ways as the serial path's predict_batch, so the
-  // round-tripped text is bit-identical to the reference client's.
+  // The campaign's token rides into the scheduler, so a cancelled
+  // campaign's live decode retires from the dynamic batch at the next round
+  // instead of decoding to completion.  Same tokenizer both ways as the
+  // serial path's predict_batch, so the round-tripped text is bit-identical
+  // to the reference client's.
   return std::make_unique<TicketHandle>(
       model_, scheduler_.submit(model_.tokenizer().encode(encoder_text),
-                                static_cast<int64_t>(max_tokens),
-                                std::move(sub)));
+                                static_cast<int64_t>(max_tokens), cancel));
 }
 
 // ---------------------------------------------------------------------------
@@ -97,10 +74,9 @@ bool CampaignServer::Job::done() const {
 }
 
 void CampaignServer::Job::cancel() {
-  // Set the cooperative flag first: an in-flight campaign observes it at
-  // its next stage boundary and its live decode ticket at the next
-  // scheduler round.
-  cancel_flag->store(true, std::memory_order_release);
+  // Fire the token first: an in-flight campaign observes it at its next
+  // stage boundary and its live decode ticket at the next scheduler round.
+  request.options.cancel.cancel();
   std::lock_guard<std::mutex> lk(mu);
   if (finished || started) return;  // resolved, or a worker owns it now
   // Still queued: resolve right here so waiters wake immediately.  The
@@ -147,6 +123,9 @@ CampaignServer::CampaignServer(Options opt) : opt_(opt) {
     throw InvalidArgument(
         "CampaignServer: max_retries must be >= 0 (0 = no retry), got " +
         std::to_string(opt_.max_retries));
+  }
+  if (std::isnan(opt_.block_timeout_seconds)) {
+    throw InvalidArgument("CampaignServer: block_timeout_seconds is NaN");
   }
   ml::validated_precision(opt_.decode_precision, "CampaignServer");
   const int n = par::resolve_threads(opt_.workers);
@@ -205,7 +184,6 @@ void CampaignServer::register_topology(
         std::make_unique<core::SequenceBuilder>(entry->topology, entry->tech);
     ml::DecodeScheduler::Options sopt;
     sopt.max_batch = opt_.max_decode_batch;
-    sopt.threads = opt_.scheduler_threads;
     sopt.precision = tier;
     entry->scheduler = std::make_unique<ml::DecodeScheduler>(engine, sopt);
     entry->client = std::make_unique<ScheduledPredictionClient>(
@@ -224,9 +202,19 @@ void CampaignServer::register_topology(
 
 std::shared_ptr<CampaignServer::Job> CampaignServer::submit(
     CampaignRequest request) {
+  if (request.options.cancel.cancellable()) {
+    throw InvalidArgument(
+        "CampaignServer::submit: options.cancel must be unset; the server "
+        "makes each job's token (Job::cancel(), deadline_seconds)");
+  }
+  if (std::isnan(request.deadline_seconds)) {
+    throw InvalidArgument("CampaignServer::submit: deadline_seconds is NaN");
+  }
   auto job = std::make_shared<Job>();
-  job->request = std::move(request);
   job->submitted_at = std::chrono::steady_clock::now();
+  request.options.cancel = CancelToken(
+      deadline_after(job->submitted_at, request.deadline_seconds));
+  job->request = std::move(request);
   {
     std::unique_lock<std::mutex> lk(mu_);
     if (stop_) {
@@ -253,18 +241,15 @@ std::shared_ptr<CampaignServer::Job> CampaignServer::submit(
         return stop_ ||
                queue_.size() < static_cast<size_t>(opt_.max_queue_depth);
       };
-      if (opt_.block_timeout_seconds > 0.0) {
-        const auto give_up = deadline_after(std::chrono::steady_clock::now(),
-                                            opt_.block_timeout_seconds);
-        if (!space_cv_.wait_until(lk, give_up, has_space)) {
-          ++timed_out_;
-          throw ServerOverloaded(
-              "CampaignServer::submit: queue still full after blocking " +
-              std::to_string(opt_.block_timeout_seconds) +
-              "s for space (Block policy timeout)");
-        }
-      } else {
-        space_cv_.wait(lk, has_space);
+      // No timeout is a give-up time of time_point::max(): never reached.
+      const auto give_up = deadline_after(std::chrono::steady_clock::now(),
+                                          opt_.block_timeout_seconds);
+      if (!space_cv_.wait_until(lk, give_up, has_space)) {
+        ++timed_out_;
+        throw ServerOverloaded(
+            "CampaignServer::submit: queue still full after blocking " +
+            std::to_string(opt_.block_timeout_seconds) +
+            "s for space (Block policy timeout)");
       }
       if (stop_) {
         throw InvalidArgument("CampaignServer::submit: server is shut down");
@@ -339,20 +324,24 @@ void CampaignServer::worker_loop() {
       continue;
     }
 
-    // Deadline check before running: a job that expired waiting in queue
-    // resolves without a single decode or simulation.
-    const auto deadline = effective_deadline(job->request, job->submitted_at);
-    if (std::chrono::steady_clock::now() >= deadline) {
+    // Pickup check: a job whose token fired while it waited (its deadline
+    // passed, or a cancel raced this claim) resolves without a single
+    // decode or simulation.  Only a deadline counts as expired.
+    const CancelToken::Reason why =
+        job->request.options.cancel.reason(std::chrono::steady_clock::now());
+    if (why != CancelToken::Reason::kLive) {
+      const bool expired = why == CancelToken::Reason::kDeadlineExceeded;
       CampaignResult res;
       res.status = CampaignStatus::Cancelled;
-      res.error = "campaign deadline exceeded after " +
-                  std::to_string(queued) + "s in queue";
+      res.error = expired ? "campaign deadline exceeded after " +
+                                std::to_string(queued) + "s in queue"
+                          : "campaign cancelled by caller";
       res.queue_seconds = queued;
       res.total_seconds = seconds_since(job->submitted_at);
       {
         std::lock_guard<std::mutex> lk(mu_);
         ++cancelled_;
-        ++expired_;
+        if (expired) ++expired_;
       }
       job->result = std::move(res);
       publish(job);
@@ -361,11 +350,6 @@ void CampaignServer::worker_loop() {
 
     CampaignResult res;
     res.queue_seconds = queued;
-    // The job's cancel flag and effective deadline ride through the copilot
-    // options into the prediction client and decode scheduler.
-    core::CopilotOptions run_opt = job->request.options;
-    run_opt.cancel = job->cancel_flag;
-    run_opt.deadline = deadline;
     try {
       STAT_REGION("serve.campaign.run");
       // Injectable worker-side failure, before the copilot even constructs:
@@ -377,7 +361,10 @@ void CampaignServer::worker_loop() {
       // independent of which worker runs it.
       core::SizingCopilot copilot(entry->topology, entry->tech, *entry->builder,
                                   *entry->model, *entry->luts);
-      res.outcome = copilot.size(job->request.target, run_opt, *entry->client);
+      // The job's token rides in its options, into the prediction client
+      // and decode scheduler.
+      res.outcome = copilot.size(job->request.target, job->request.options,
+                                 *entry->client);
       res.status = CampaignStatus::Served;
     } catch (const Cancelled& e) {
       res.status = CampaignStatus::Cancelled;

@@ -30,14 +30,14 @@
 // (0 = unbounded).  At capacity, submit() either throws ota::ServerOverloaded
 // (Reject) or waits for a worker to make room (Block, with an optional
 // timeout that also throws ServerOverloaded) — a burst of submissions can
-// never grow memory or tail latency without bound.  Job::cancel() and
-// CampaignRequest::deadline_seconds resolve jobs that nobody wants served:
-// queued jobs resolve as Cancelled without running, in-flight campaigns stop
-// at the next copilot stage boundary, and their live decode tickets retire
-// from the dynamic batch mid-round.
+// never grow memory or tail latency without bound.  Each job owns one
+// ota::CancelToken, fired by Job::cancel() or by its
+// CampaignRequest::deadline_seconds, and the worker hands it to the copilot
+// as is: queued jobs resolve as Cancelled without running, in-flight
+// campaigns stop at the next copilot stage boundary, and their live decode
+// tickets retire from the dynamic batch mid-round.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -67,10 +67,9 @@ class ScheduledPredictionClient : public core::PredictionClient {
                             ml::DecodeScheduler& scheduler)
       : model_(model), scheduler_(scheduler) {}
 
-  using core::PredictionClient::submit;
   std::unique_ptr<Handle> submit(const std::string& encoder_text,
                                  int max_tokens,
-                                 const core::CancelSignal& cancel) override;
+                                 const CancelToken& cancel) override;
 
  private:
   const core::SizingModel& model_;
@@ -81,14 +80,15 @@ class ScheduledPredictionClient : public core::PredictionClient {
 struct CampaignRequest {
   std::string topology;
   core::Specs target;
-  /// Copilot knobs.  `options.cancel` is owned by the server (use
-  /// Job::cancel()); `options.deadline` is honored and combined (earliest
-  /// wins) with `deadline_seconds` below.
+  /// Copilot knobs.  Leave `options.cancel` unset: submit() refuses a set
+  /// one with InvalidArgument and installs the job's own token there.
   core::CopilotOptions options{};
-  /// Per-request deadline, in seconds after submit().  A job whose deadline
-  /// passes while still queued resolves as Cancelled without running; one
-  /// that expires in flight stops through the cancel path (copilot stage
-  /// boundaries + mid-round decode retirement).  <= 0 = no deadline.
+  /// Per-request deadline, in seconds after submit(), carried by the job's
+  /// token.  A job whose deadline passes while still queued resolves as
+  /// Cancelled without running; one that expires in flight stops through
+  /// the cancel path (copilot stage boundaries + mid-round decode
+  /// retirement).  <= 0, +inf or beyond the clock's range = no deadline;
+  /// NaN throws InvalidArgument.
   double deadline_seconds = 0.0;
 };
 
@@ -126,11 +126,9 @@ class CampaignServer {
     /// threads, not pool lanes: a campaign blocks on decode tickets and
     /// SPICE runs, and a blocked pool lane would stall unrelated work.
     int workers = 0;
-    /// Per-topology cap on concurrently-decoding sessions.
+    /// Per-topology cap on concurrently-decoding sessions.  Each
+    /// topology's scheduler fans its rounds out on par::global_pool().
     int max_decode_batch = 64;
-    /// Worker count for each scheduler's intra-round fan-out: 0 = the
-    /// persistent process-wide pool, > 0 = a dedicated pool per topology.
-    int scheduler_threads = 0;
     /// Admission control: maximum campaigns waiting in the queue (jobs a
     /// worker has picked up no longer count).  0 = unbounded, the
     /// pre-admission-control behaviour.  Negative throws InvalidArgument.
@@ -138,7 +136,8 @@ class CampaignServer {
     /// What submit() does when the queue is at max_queue_depth.
     OverflowPolicy overflow = OverflowPolicy::Reject;
     /// Block policy only: longest submit() waits for queue space before
-    /// throwing ota::ServerOverloaded.  <= 0 = wait indefinitely.
+    /// throwing ota::ServerOverloaded.  <= 0, +inf or beyond the clock's
+    /// range = wait indefinitely; NaN throws InvalidArgument.
     double block_timeout_seconds = 0.0;
     /// Default numeric tier every topology's decode scheduler runs at
     /// (ml::Precision::kDouble = the bit-identity reference, kFloat32 = the
@@ -157,8 +156,9 @@ class CampaignServer {
 
   CampaignServer();
   /// Throws InvalidArgument for max_decode_batch < 1 (requests could never
-  /// join a decode batch and would hang) or max_queue_depth < 0 — before
-  /// any worker thread is spawned.
+  /// join a decode batch and would hang), max_queue_depth < 0, max_retries
+  /// < 0 or a NaN block_timeout_seconds — before any worker thread is
+  /// spawned.
   explicit CampaignServer(Options opt);
   /// shutdown(true): outstanding campaigns finish before teardown.
   ~CampaignServer();
@@ -189,10 +189,10 @@ class CampaignServer {
     const CampaignResult& wait();
     bool done() const;
 
-    /// Requests cancellation from any thread.  A job still in the queue
+    /// Fires the job's token, from any thread.  A job still in the queue
     /// resolves as Cancelled right here — waiters wake immediately and a
     /// worker never runs it.  A job already running keeps its worker, but
-    /// the copilot observes the flag at its next stage boundary and any
+    /// the copilot observes the token at its next stage boundary and any
     /// in-flight decode retires from the dynamic batch mid-round, so the
     /// job resolves as Cancelled shortly after (or as Served if completion
     /// won the race).  Idempotent; the resolves-exactly-once contract holds
@@ -207,22 +207,21 @@ class CampaignServer {
     bool started = false;  ///< picked up by a worker; cancel() can no
                            ///< longer resolve it directly
     CampaignResult result;
+    /// Written by submit() before the job is shared, read-only afterwards.
+    /// `request.options.cancel` is the job's token.
     CampaignRequest request;
     std::chrono::steady_clock::time_point submitted_at;
     /// Times the transient-retry policy has requeued this job (guarded by
     /// mu, like started).
     int retries = 0;
-    /// Cooperative cancel flag threaded through CopilotOptions into the
-    /// prediction client and decode scheduler.
-    std::shared_ptr<std::atomic<bool>> cancel_flag =
-        std::make_shared<std::atomic<bool>>(false);
   };
 
   /// Enqueues one campaign; returns immediately unless the queue is full
   /// under the Block policy.  Throws InvalidArgument for an unregistered
-  /// topology or after shutdown(), and ota::ServerOverloaded when the queue
-  /// is at max_queue_depth under the Reject policy (or the Block policy's
-  /// timeout elapses waiting for space).
+  /// topology, a set `options.cancel`, a NaN `deadline_seconds` or after
+  /// shutdown(), and ota::ServerOverloaded when the queue is at
+  /// max_queue_depth under the Reject policy (or the Block policy's timeout
+  /// elapses waiting for space).
   std::shared_ptr<Job> submit(CampaignRequest request);
 
   /// Stops accepting submissions and joins the workers.  drain=true serves

@@ -11,20 +11,23 @@
 // drainless cancellation answers everything, and nothing resolves twice.
 //
 // The admission-control and cancellation contracts extend that: a full queue
-// rejects or blocks per OverflowPolicy (never exceeding max_queue_depth), a
-// cancelled or deadline-expired job resolves exactly once as Cancelled
+// rejects or blocks per OverflowPolicy (never exceeding max_queue_depth), and
+// a request whose ota::CancelToken fires resolves exactly once as Cancelled
 // (immediately when still queued, at the next stage boundary / decode round
-// when in flight), and every campaign that survives cancellation must still
-// be bit-identical to the serial copilot.  Timing-dependent cases are
-// asserted race-tolerantly: a cancel may lose the race with completion, but
-// the exactly-once accounting and bit-identity must hold either way.
+// when in flight).  Scheduler tests cancel a ticket through the token they
+// submitted it with; server tests through Job::cancel() and deadline_seconds,
+// which fire the token the server makes for each job.  Every campaign that
+// survives cancellation must still be bit-identical to the serial copilot.
+// Timing-dependent cases are asserted race-tolerantly: a cancel may lose the
+// race with completion, but the exactly-once accounting and bit-identity
+// must hold either way.
 #include "serve/campaign_server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <random>
@@ -445,6 +448,15 @@ TEST_F(DeterminismTest, CampaignServerRejectsBadSubmissions) {
                InvalidArgument);
   EXPECT_THROW(server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_),
                InvalidArgument);
+  // The server owns each job's token: a caller-set one is refused rather
+  // than silently replaced, and so is a NaN deadline.
+  CampaignRequest preset{"5T-OTA", campaign_targets(1)[0], {}};
+  preset.options.cancel = CancelToken(CancelToken::Clock::time_point::max());
+  EXPECT_THROW((void)server.submit(preset), InvalidArgument);
+  CampaignRequest nan_deadline{"5T-OTA", campaign_targets(1)[0], {}};
+  nan_deadline.deadline_seconds = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)server.submit(nan_deadline), InvalidArgument);
+  EXPECT_EQ(server.stats().submitted, 0u);
   server.shutdown();
   EXPECT_THROW((void)server.submit({"5T-OTA", campaign_targets(1)[0], {}}),
                InvalidArgument);
@@ -501,8 +513,8 @@ TEST_F(DeterminismTest, SchedulerRejectsNonPositiveMaxBatch) {
 }
 
 TEST_F(DeterminismTest, SchedulerPresetCancelAndPastDeadlineResolveCancelled) {
-  // Deterministic cancellation cases: a request submitted with its external
-  // flag already set, or its deadline already past, must resolve Cancelled —
+  // Deterministic cancellation cases: a request submitted with its token
+  // already cancelled, or its deadline already past, must resolve Cancelled —
   // no timing involved.  A generous deadline must not interfere.
   const ml::InferenceEngine& engine = model().engine();
   const auto src = model().tokenizer().encode(
@@ -510,21 +522,16 @@ TEST_F(DeterminismTest, SchedulerPresetCancelAndPastDeadlineResolveCancelled) {
   const auto reference = engine.greedy_decode(src, 64);
   ml::DecodeScheduler scheduler(engine);
 
-  auto set_flag = std::make_shared<std::atomic<bool>>(true);
-  ml::DecodeScheduler::SubmitOptions cancelled_sub;
-  cancelled_sub.cancel = set_flag;
-  auto cancelled_ticket = scheduler.submit(src, 64, cancelled_sub);
+  const CancelToken set_flag(CancelToken::Clock::time_point::max());
+  set_flag.cancel();
+  auto cancelled_ticket = scheduler.submit(src, 64, set_flag);
 
-  ml::DecodeScheduler::SubmitOptions expired_sub;
-  expired_sub.deadline =
-      std::chrono::steady_clock::now() - std::chrono::seconds(1);
-  auto expired_ticket = scheduler.submit(src, 64, expired_sub);
+  auto expired_ticket = scheduler.submit(
+      src, 64,
+      CancelToken(CancelToken::Clock::now() - std::chrono::seconds(1)));
 
-  ml::DecodeScheduler::SubmitOptions generous_sub;
-  generous_sub.cancel = std::make_shared<std::atomic<bool>>(false);
-  generous_sub.deadline =
-      std::chrono::steady_clock::now() + std::chrono::hours(1);
-  auto generous_ticket = scheduler.submit(src, 64, generous_sub);
+  auto generous_ticket = scheduler.submit(
+      src, 64, CancelToken(CancelToken::Clock::now() + std::chrono::hours(1)));
 
   EXPECT_THROW((void)cancelled_ticket->wait(), Cancelled);
   EXPECT_THROW((void)expired_ticket->wait(), Cancelled);
@@ -554,9 +561,13 @@ TEST_F(DeterminismTest, SchedulerTicketCancelResolvesExactlyOnce) {
   opt.max_batch = 2;  // smaller than the request count: some cancel queued
   ml::DecodeScheduler scheduler(engine, opt);
 
+  std::vector<CancelToken> tokens;
   std::vector<std::shared_ptr<ml::DecodeScheduler::Ticket>> tickets;
-  for (const auto& s : srcs) tickets.push_back(scheduler.submit(s, 96));
-  for (size_t i = 1; i < tickets.size(); i += 2) tickets[i]->cancel();
+  for (const auto& s : srcs) {
+    tokens.emplace_back(CancelToken::Clock::time_point::max());
+    tickets.push_back(scheduler.submit(s, 96, tokens.back()));
+  }
+  for (size_t i = 1; i < tickets.size(); i += 2) tokens[i].cancel();
 
   uint64_t served = 0, cancelled = 0;
   for (size_t i = 0; i < tickets.size(); ++i) {
@@ -567,7 +578,8 @@ TEST_F(DeterminismTest, SchedulerTicketCancelResolvesExactlyOnce) {
       ++served;
     } catch (const Cancelled&) {
       ++cancelled;
-      EXPECT_TRUE(tickets[i]->cancel_requested());
+      EXPECT_EQ(tokens[i].reason(CancelToken::Clock::now()),
+                CancelToken::Reason::kCancelled);
       EXPECT_EQ(i % 2, 1u) << "ticket " << i << " cancelled but never asked to";
     }
   }
@@ -585,6 +597,9 @@ TEST_F(DeterminismTest, CampaignServerRejectsBadOptions) {
   EXPECT_THROW({ CampaignServer s(bad); }, InvalidArgument);
   bad = CampaignServer::Options{};
   bad.max_queue_depth = -1;
+  EXPECT_THROW({ CampaignServer s(bad); }, InvalidArgument);
+  bad = CampaignServer::Options{};
+  bad.block_timeout_seconds = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW({ CampaignServer s(bad); }, InvalidArgument);
 }
 
@@ -718,6 +733,38 @@ TEST_F(DeterminismTest, CampaignServerDeadlineExpiresInQueue) {
   EXPECT_EQ(stats.failed, 0u);
 }
 
+TEST_F(DeterminismTest, CampaignServerFarFutureDeadlinesAreServed) {
+  // Deadlines past the steady clock's range (~292 years of nanosecond
+  // ticks) and +inf mean "no deadline": the conversion saturates instead of
+  // overflowing into the past, so these jobs run and are served.
+  const auto targets = campaign_targets(3);
+  const auto opt = campaign_options();
+  const auto reference = serial_outcomes(targets, opt);
+
+  CampaignServer::Options sopt;
+  sopt.workers = 3;
+  CampaignServer server(sopt);
+  server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_);
+
+  const double far[] = {1e10, 1e12, std::numeric_limits<double>::infinity()};
+  std::vector<std::shared_ptr<CampaignServer::Job>> jobs;
+  for (size_t i = 0; i < targets.size(); ++i) {
+    CampaignRequest req{"5T-OTA", targets[i], opt};
+    req.deadline_seconds = far[i];
+    jobs.push_back(server.submit(std::move(req)));
+  }
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const CampaignResult& res = jobs[i]->wait();
+    ASSERT_EQ(res.status, CampaignStatus::Served)
+        << "deadline_seconds " << far[i] << ": " << res.error;
+    expect_same_outcome(res.outcome, reference[i]);
+  }
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.served, jobs.size());
+  EXPECT_EQ(stats.expired, 0u);
+  EXPECT_EQ(stats.cancelled, 0u);
+}
+
 TEST_F(DeterminismTest, CampaignServerRejectPolicyBoundsQueue) {
   const auto targets = campaign_targets(4);
   const auto opt = campaign_options();
@@ -752,32 +799,42 @@ TEST_F(DeterminismTest, CampaignServerBlockPolicyWaitsForSpace) {
   const auto targets = campaign_targets(3);
   const auto opt = campaign_options();
 
-  CampaignServer::Options sopt;
-  sopt.workers = 1;
-  sopt.max_queue_depth = 1;
-  sopt.overflow = OverflowPolicy::Block;
-  CampaignServer server(sopt);
-  server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_);
+  // No timeout, and one beyond the steady clock's range: both must wait,
+  // the latter must not overflow into a give-up time already past.
+  for (const double timeout : {0.0, 1e12}) {
+    CampaignServer::Options sopt;
+    sopt.workers = 1;
+    sopt.max_queue_depth = 1;
+    sopt.overflow = OverflowPolicy::Block;
+    sopt.block_timeout_seconds = timeout;
+    CampaignServer server(sopt);
+    server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_);
 
-  auto first = server.submit({"5T-OTA", targets[0], opt});
-  wait_for_pickup(server);
-  auto second = server.submit({"5T-OTA", targets[1], opt});  // queue now full
-  // This submit finds the queue at capacity and blocks until the worker
-  // pops `second`; it must eventually be admitted and served, not rejected.
-  std::shared_ptr<CampaignServer::Job> third;
-  std::thread submitter(
-      [&] { third = server.submit({"5T-OTA", targets[2], opt}); });
-  submitter.join();
-  ASSERT_NE(third, nullptr);
+    auto first = server.submit({"5T-OTA", targets[0], opt});
+    wait_for_pickup(server);
+    auto second = server.submit({"5T-OTA", targets[1], opt});  // queue full
+    // This submit finds the queue at capacity and blocks until the worker
+    // pops `second`; it must eventually be admitted and served, not rejected
+    // (a ServerOverloaded leaves `third` null for the assertion below).
+    std::shared_ptr<CampaignServer::Job> third;
+    std::thread submitter([&] {
+      try {
+        third = server.submit({"5T-OTA", targets[2], opt});
+      } catch (const ServerOverloaded&) {
+      }
+    });
+    submitter.join();
+    ASSERT_NE(third, nullptr) << "timeout " << timeout;
 
-  for (const auto& job : {first, second, third}) {
-    EXPECT_EQ(job->wait().status, CampaignStatus::Served) << job->wait().error;
+    for (const auto& job : {first, second, third}) {
+      EXPECT_EQ(job->wait().status, CampaignStatus::Served) << job->wait().error;
+    }
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.submitted, 3u);
+    EXPECT_EQ(stats.rejected, 0u);
+    EXPECT_EQ(stats.timed_out, 0u);
+    EXPECT_LE(stats.peak_queue_depth, 1u);
   }
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.submitted, 3u);
-  EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_EQ(stats.timed_out, 0u);
-  EXPECT_LE(stats.peak_queue_depth, 1u);
 }
 
 TEST_F(DeterminismTest, CampaignServerBlockTimeoutThrowsServerOverloaded) {

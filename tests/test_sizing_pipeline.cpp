@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <map>
 
+#include "common/stats.hpp"
 #include "core/copilot.hpp"
 #include "core/metrics.hpp"
 #include "core/nearest_predictor.hpp"
@@ -303,6 +305,37 @@ TEST_F(PipelineTest, CopilotFallsBackToConstantDensityScaling) {
   for (size_t g = 1; g < w1.size(); ++g) {
     EXPECT_NEAR(o.widths[g] / w1[g], factor, factor * 1e-9) << "group " << g;
   }
+}
+
+TEST_F(PipelineTest, CopilotStopsBeforeAnyWorkOnAFiredToken) {
+  // The serial copilot honours its token at the first stage boundary: an
+  // already-cancelled token and an already-passed deadline both throw
+  // Cancelled before any prediction or verification simulation.
+  const NearestNeighborPredictor nn(*builder_, dataset_->designs);
+  const FirstReplyPredictor pred(nn, builder_->decoder_text(dataset_->designs[0]));
+  SizingCopilot copilot(*topo_, *tech_, *builder_, pred, *luts_);
+  const Specs target = targets_from_designs(dataset_->designs, 1, 0.08, 3)[0];
+
+  CopilotOptions cancelled;
+  cancelled.cancel = CancelToken(CancelToken::Clock::time_point::max());
+  cancelled.cancel.cancel();
+  CopilotOptions expired;
+  expired.cancel =
+      CancelToken(CancelToken::Clock::now() - std::chrono::seconds(1));
+
+  stats::ScopedStats scoped;
+  EXPECT_THROW((void)copilot.size(target, cancelled), Cancelled);
+  EXPECT_THROW((void)copilot.size(target, expired), Cancelled);
+  EXPECT_TRUE(pred.requests().empty());
+  const auto sites = stats::snapshot();
+  const auto verify = sites.find("core.copilot.stage4_verify");
+  EXPECT_TRUE(verify == sites.end() || verify->second.count == 0);
+
+  // The same copilot still sizes normally under a live token.
+  CopilotOptions live;
+  live.cancel = CancelToken(CancelToken::Clock::time_point::max());
+  EXPECT_GT(copilot.size(target, live).spice_simulations, 0);
+  EXPECT_FALSE(pred.requests().empty());
 }
 
 TEST_F(PipelineTest, TargetsFromDesignsAreFeasibleRelaxations) {
