@@ -193,9 +193,10 @@ int main() {
     std::vector<Cplx> h;
     Run run;
     run.threads = t;
+    par::ThreadPool pool(t);
     run.seconds = best_seconds(
         kTimingRepeats,
-        [&] { h = ac.transfer_sweep(freqs, topo.output_node, t); });
+        [&] { h = ac.transfer_sweep(freqs, topo.output_node, pool); });
     run.points_per_sec =
         run.seconds > 0.0 ? static_cast<double>(points) / run.seconds : 0.0;
     run.speedup_vs_naive =

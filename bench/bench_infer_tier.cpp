@@ -106,12 +106,13 @@ int main() {
   }
 
   // Gate 1: token agreement.  The double pass is the reference; the float32
-  // pass must reproduce its streams exactly.  Both decoded serially
-  // (threads=1) so the comparison is pure kernel numerics.
-  const auto ref = engine.greedy_decode_batch(srcs, max_tokens, 1,
-                                              ml::Precision::kDouble);
-  const auto f32 = engine.greedy_decode_batch(srcs, max_tokens, 1,
-                                              ml::Precision::kFloat32);
+  // pass must reproduce its streams exactly.  Both decoded serially (an
+  // inline pool) so the comparison is pure kernel numerics.
+  par::ThreadPool serial(1);
+  const auto ref = engine.greedy_decode_batch(srcs, max_tokens,
+                                              ml::Precision::kDouble, serial);
+  const auto f32 = engine.greedy_decode_batch(srcs, max_tokens,
+                                              ml::Precision::kFloat32, serial);
   bool agree = ref.size() == f32.size();
   size_t first_diverged = srcs.size();
   for (size_t i = 0; agree && i < ref.size(); ++i) {
@@ -123,10 +124,10 @@ int main() {
 
   // Gate 2: run-to-run determinism of each tier.
   const bool deterministic =
-      engine.greedy_decode_batch(srcs, max_tokens, 1,
-                                 ml::Precision::kDouble) == ref &&
-      engine.greedy_decode_batch(srcs, max_tokens, 1,
-                                 ml::Precision::kFloat32) == f32;
+      engine.greedy_decode_batch(srcs, max_tokens, ml::Precision::kDouble,
+                                 serial) == ref &&
+      engine.greedy_decode_batch(srcs, max_tokens, ml::Precision::kFloat32,
+                                 serial) == f32;
 
   // Throughput: repeated serial passes over the batch; the agreement gate
   // means both tiers execute the same number of session steps, so the rate
@@ -134,10 +135,10 @@ int main() {
   const int64_t steps = steps_of(ref, max_tokens);
   const int repeats = smoke ? 2 : 5;
   const auto time_tier = [&](ml::Precision tier) {
-    (void)engine.greedy_decode_batch(srcs, max_tokens, 1, tier);  // warm-up
+    (void)engine.greedy_decode_batch(srcs, max_tokens, tier, serial);  // warm-up
     const auto t0 = Clock::now();
     for (int r = 0; r < repeats; ++r) {
-      (void)engine.greedy_decode_batch(srcs, max_tokens, 1, tier);
+      (void)engine.greedy_decode_batch(srcs, max_tokens, tier, serial);
     }
     return std::chrono::duration<double>(Clock::now() - t0).count();
   };

@@ -70,10 +70,10 @@ int main() {
   double t1 = 0.0;
   for (const int threads : {1, 2, 4, 8}) {
     auto topo = circuit::make_5t_ota(tech);
-    gopt.threads = threads;
+    par::ThreadPool pool(threads);
     const auto t0 = std::chrono::steady_clock::now();
     const core::Dataset ds = core::generate_dataset(
-        topo, tech, core::SpecRange::for_topology("5T-OTA"), gopt);
+        topo, tech, core::SpecRange::for_topology("5T-OTA"), gopt, pool);
     const double secs = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0).count();
     bool identical = true;

@@ -89,10 +89,9 @@ int main() {
   std::printf("%8s %10s %14s %9s  %s\n", "threads", "seconds", "examples/s",
               "speedup", "trajectory");
   for (int t : sweep) {
-    core::TrainOptions opt = topt;
-    opt.threads = t;
+    par::ThreadPool pool(t);
     core::SizingModel model;
-    const core::TrainHistory hist = model.train(pairs, opt);
+    const core::TrainHistory hist = model.train(pairs, topt, pool);
 
     Run run;
     run.threads = t;

@@ -15,11 +15,10 @@
 namespace ota::baselines {
 
 // The population-based methods (PSO, DE) and BO evaluate their per-iteration
-// candidate sets through SizingProblem::evaluate_batch on a thread pool; all
-// RNG draws stay on the calling thread, so every optimizer is deterministic
-// per seed for any `threads` value (0 = auto: OTA_THREADS env, else hardware
-// concurrency).  Simulated annealing is a sequential chain — each move
-// depends on the previous accept/reject — and stays single-threaded.
+// candidate sets through SizingProblem::evaluate_batch on `pool`; all RNG
+// draws stay on the calling thread, so every optimizer is deterministic per
+// seed for any pool width.  Simulated annealing is a sequential chain — each
+// move depends on the previous accept/reject — and stays single-threaded.
 
 struct SaOptions {
   int max_simulations = 2000;
@@ -37,9 +36,9 @@ struct PsoOptions {
   double c_personal = 1.49;
   double c_global = 1.49;
   uint64_t seed = 2;
-  int threads = 0;       ///< swarm-evaluation workers (0 = auto)
 };
-OptResult particle_swarm(SizingProblem& problem, const PsoOptions& opt = {});
+OptResult particle_swarm(SizingProblem& problem, const PsoOptions& opt = {},
+                         par::ThreadPool& pool = par::global_pool());
 
 struct DeOptions {
   int max_simulations = 2000;
@@ -47,9 +46,10 @@ struct DeOptions {
   double f = 0.6;        ///< differential weight
   double cr = 0.9;       ///< crossover probability
   uint64_t seed = 3;
-  int threads = 0;       ///< trial-evaluation workers (0 = auto)
 };
-OptResult differential_evolution(SizingProblem& problem, const DeOptions& opt = {});
+OptResult differential_evolution(SizingProblem& problem,
+                                 const DeOptions& opt = {},
+                                 par::ThreadPool& pool = par::global_pool());
 
 struct BoOptions {
   int max_simulations = 120;  ///< BO is sample-efficient but per-step costly
@@ -59,8 +59,9 @@ struct BoOptions {
   double signal_var = 1.0;
   double noise_var = 1e-6;
   uint64_t seed = 4;
-  int threads = 0;       ///< init-batch + EI-scan workers (0 = auto)
 };
-OptResult bayesian_optimization(SizingProblem& problem, const BoOptions& opt = {});
+OptResult bayesian_optimization(SizingProblem& problem,
+                                const BoOptions& opt = {},
+                                par::ThreadPool& pool = par::global_pool());
 
 }  // namespace ota::baselines

@@ -8,7 +8,6 @@
 #include "baselines/baselines.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
-#include "par/thread_pool.hpp"
 
 namespace ota::baselines {
 
@@ -32,12 +31,12 @@ double norm_cdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
 
 }  // namespace
 
-OptResult bayesian_optimization(SizingProblem& problem, const BoOptions& opt) {
+OptResult bayesian_optimization(SizingProblem& problem, const BoOptions& opt,
+                                par::ThreadPool& pool) {
   const auto t0 = std::chrono::steady_clock::now();
   Rng rng(opt.seed);
   const size_t d = problem.dims();
   const int start_sims = problem.simulations();
-  par::ThreadPool pool(par::resolve_threads(opt.threads));
 
   std::vector<std::vector<double>> xs;
   std::vector<double> ys;
@@ -63,7 +62,7 @@ OptResult bayesian_optimization(SizingProblem& problem, const BoOptions& opt) {
     for (auto& v : x) v = rng.uniform();
     xs.push_back(std::move(x));
   }
-  ys = problem.evaluate_batch(xs, &pool);
+  ys = problem.evaluate_batch(xs, pool);
   for (size_t i = 0; i < xs.size(); ++i) {
     if (ys[i] < res.best_cost) {
       res.best_cost = ys[i];

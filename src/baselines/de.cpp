@@ -2,7 +2,6 @@
 #include <chrono>
 
 #include "baselines/baselines.hpp"
-#include "par/thread_pool.hpp"
 
 namespace ota::baselines {
 
@@ -10,20 +9,20 @@ namespace ota::baselines {
 // vectors of a generation are built from the previous generation's population
 // with calling-thread RNG draws, evaluated as one parallel batch, then
 // selected in population order.  Deterministic per seed for any thread count.
-OptResult differential_evolution(SizingProblem& problem, const DeOptions& opt) {
+OptResult differential_evolution(SizingProblem& problem, const DeOptions& opt,
+                                 par::ThreadPool& pool) {
   const auto t0 = std::chrono::steady_clock::now();
   Rng rng(opt.seed);
   const size_t d = problem.dims();
   const size_t np = static_cast<size_t>(std::max(opt.population, 4));
   const int start_sims = problem.simulations();
-  par::ThreadPool pool(par::resolve_threads(opt.threads));
 
   std::vector<std::vector<double>> pop(np, std::vector<double>(d));
   OptResult res;
   for (size_t i = 0; i < np; ++i) {
     for (auto& v : pop[i]) v = rng.uniform();
   }
-  std::vector<double> cost = problem.evaluate_batch(pop, &pool);
+  std::vector<double> cost = problem.evaluate_batch(pop, pool);
   for (size_t i = 0; i < np; ++i) {
     if (cost[i] < res.best_cost) {
       res.best_cost = cost[i];
@@ -55,7 +54,7 @@ OptResult differential_evolution(SizingProblem& problem, const DeOptions& opt) {
       }
       trials.push_back(std::move(trial));
     }
-    const std::vector<double> trial_cost = problem.evaluate_batch(trials, &pool);
+    const std::vector<double> trial_cost = problem.evaluate_batch(trials, pool);
     for (size_t i = 0; i < n_trials; ++i) {
       if (trial_cost[i] <= cost[i]) {
         pop[i] = trials[i];

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "par/thread_pool.hpp"
 
 namespace ota::baselines {
 
@@ -55,20 +54,15 @@ double SizingProblem::evaluate(const std::vector<double>& x) {
 }
 
 std::vector<double> SizingProblem::evaluate_batch(
-    const std::vector<std::vector<double>>& xs, par::ThreadPool* pool) {
+    const std::vector<std::vector<double>>& xs, par::ThreadPool& pool) {
   simulations_ += static_cast<int>(xs.size());
   std::vector<double> costs(xs.size());
-  auto run = [&](size_t begin, size_t end) {
+  pool.parallel_for(xs.size(), [&](size_t begin, size_t end) {
     circuit::Topology worker_topo = topo_;
     for (size_t i = begin; i < end; ++i) {
       costs[i] = cost_at(worker_topo, tech_, target_, to_widths(xs[i]));
     }
-  };
-  if (pool != nullptr && xs.size() > 1) {
-    pool->parallel_for(xs.size(), run);
-  } else {
-    run(0, xs.size());
-  }
+  });
   return costs;
 }
 

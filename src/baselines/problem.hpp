@@ -13,11 +13,8 @@
 
 #include "circuit/topologies.hpp"
 #include "core/dataset.hpp"
+#include "par/thread_pool.hpp"
 #include "spice/testbench.hpp"
-
-namespace ota::par {
-class ThreadPool;
-}
 
 namespace ota::baselines {
 
@@ -35,12 +32,12 @@ class SizingProblem {
   double evaluate(const std::vector<double>& x);
 
   /// Costs of a whole population, one counted simulation per point.  Points
-  /// are independent; when `pool` is non-null they are evaluated concurrently
-  /// against per-worker Topology copies.  Results are written in input order
-  /// and are bit-identical to xs.size() sequential evaluate() calls, for any
-  /// pool size.
+  /// are independent and evaluated concurrently on `pool` against per-worker
+  /// Topology copies.  Results are written in input order and are
+  /// bit-identical to xs.size() sequential evaluate() calls, for any pool
+  /// width.
   std::vector<double> evaluate_batch(const std::vector<std::vector<double>>& xs,
-                                     par::ThreadPool* pool = nullptr);
+                                     par::ThreadPool& pool = par::global_pool());
 
   /// Simulator invocations so far.
   int simulations() const { return simulations_; }

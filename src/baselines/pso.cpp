@@ -2,7 +2,6 @@
 #include <chrono>
 
 #include "baselines/baselines.hpp"
-#include "par/thread_pool.hpp"
 
 namespace ota::baselines {
 
@@ -11,12 +10,12 @@ namespace ota::baselines {
 // then evaluates the moved particles as one parallel batch, then folds the
 // personal/global bests back in swarm order.  Deterministic per seed for any
 // thread count.
-OptResult particle_swarm(SizingProblem& problem, const PsoOptions& opt) {
+OptResult particle_swarm(SizingProblem& problem, const PsoOptions& opt,
+                         par::ThreadPool& pool) {
   const auto t0 = std::chrono::steady_clock::now();
   Rng rng(opt.seed);
   const size_t d = problem.dims();
   const int start_sims = problem.simulations();
-  par::ThreadPool pool(par::resolve_threads(opt.threads));
 
   struct Particle {
     std::vector<double> x, v, best_x;
@@ -37,7 +36,7 @@ OptResult particle_swarm(SizingProblem& problem, const PsoOptions& opt) {
     }
     batch.push_back(p.x);
   }
-  std::vector<double> costs = problem.evaluate_batch(batch, &pool);
+  std::vector<double> costs = problem.evaluate_batch(batch, pool);
   for (size_t j = 0; j < swarm_size; ++j) {
     swarm[j].best_x = swarm[j].x;
     swarm[j].best_cost = costs[j];
@@ -66,7 +65,7 @@ OptResult particle_swarm(SizingProblem& problem, const PsoOptions& opt) {
       }
       batch.push_back(p.x);
     }
-    costs = problem.evaluate_batch(batch, &pool);
+    costs = problem.evaluate_batch(batch, pool);
     for (size_t j = 0; j < moved; ++j) {
       Particle& p = swarm[j];
       if (costs[j] < p.best_cost) {

@@ -52,8 +52,8 @@ struct CopilotOptions {
   /// currents, gm and UGF/BW linearly — the gm/Id-methodology scaling step.
   int prediction_iterations = 3;
   /// AC measurement configuration for the Stage IV verification simulation
-  /// (one batched sweep per candidate).  `measure.threads` stays 1 here
-  /// because campaigns shard whole sizing runs across the pool.
+  /// (one batched sweep per candidate, on the campaign's own thread:
+  /// campaigns shard whole sizing runs across the pool).
   spice::MeasureOptions measure{};
   /// Cooperative cancellation: once this token fires (its owner cancels it
   /// or its deadline passes), size() throws ota::Cancelled at the next stage

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "par/thread_pool.hpp"
 
 namespace ota::core {
 
@@ -116,11 +115,9 @@ Attempt run_attempt(circuit::Topology& topo, const device::Technology& tech,
 
 Dataset generate_dataset(circuit::Topology& topo,
                          const device::Technology& tech, const SpecRange& range,
-                         const DataGenOptions& opt) {
+                         const DataGenOptions& opt, par::ThreadPool& pool) {
   Dataset ds;
   ds.topology = topo.name;
-
-  const int threads = par::resolve_threads(opt.threads);
 
   auto fold = [&ds](Attempt& a) {
     ++ds.attempts;
@@ -134,27 +131,14 @@ Dataset generate_dataset(circuit::Topology& topo,
     }
   };
 
-  if (threads <= 1) {
-    // Serial fast path: identical per-attempt counted streams and fold
-    // order, one Topology copy total, no end-of-run waste.  The copy keeps
-    // the caller's topology untouched, as on the parallel path.
-    circuit::Topology worker_topo = topo;
-    for (int i = 0; i < opt.max_attempts &&
-                    static_cast<int>(ds.designs.size()) < opt.target_designs;
-         ++i) {
-      Attempt a = run_attempt(worker_topo, tech, range, opt,
-                              static_cast<uint64_t>(i));
-      fold(a);
-    }
-    return ds;
-  }
-
-  par::ThreadPool pool(threads);
   // Attempts are evaluated in fixed-size blocks and folded into the dataset
   // in index order, stopping at the attempt that fills the target.  Block
   // size only trades end-of-run waste against scheduling overhead; it can
-  // never change the result.
-  const int block = std::max(threads, std::min(32 * threads, 1024));
+  // never change the result.  An inline pool (size() == 0) takes blocks of
+  // one: exactly the attempts a serial loop would evaluate.
+  const int workers = pool.size();
+  const int block =
+      workers == 0 ? 1 : std::max(workers, std::min(32 * workers, 1024));
 
   std::vector<Attempt> attempts;
   int base = 0;

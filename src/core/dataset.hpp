@@ -15,6 +15,7 @@
 
 #include "circuit/topologies.hpp"
 #include "common/rng.hpp"
+#include "par/thread_pool.hpp"
 #include "spice/testbench.hpp"
 
 namespace ota::core {
@@ -60,14 +61,10 @@ struct DataGenOptions {
   bool enforce_regions = true;     ///< IC-window filters per match group
   bool enforce_saturation = true;  ///< all devices saturated
   bool enforce_spec_range = true;  ///< Table I window filter
-  /// Worker threads for the rejection-sampling sweep; 0 = auto (OTA_THREADS
-  /// env, else hardware concurrency).  Results are bit-identical for every
-  /// value: each attempt index draws from its own counted RNG stream.
-  int threads = 0;
   /// AC measurement configuration for every candidate evaluation.  Each
   /// attempt's gain/BW/UGF extraction rides one batched transfer_sweep over
-  /// the cached AC engine; `measure.threads` stays 1 here because the
-  /// attempts themselves are already sharded across the pool.
+  /// the cached AC engine, on the attempt's own thread (the attempts
+  /// themselves are what is sharded across the pool).
   spice::MeasureOptions measure{};
 };
 
@@ -86,15 +83,16 @@ struct Dataset {
 /// width so the high-gain output node biases into its linear window, as a
 /// designer's sweep script would.
 ///
-/// The rejection-sampling sweep is sharded over a thread pool (see
-/// DataGenOptions::threads).  Attempt k draws from counted stream
-/// Rng(opt.seed, k) and workers evaluate disjoint index blocks against their
-/// own Topology copies, so the retained designs, the attempt count, and every
-/// reject counter are bit-identical for any thread count: the dataset is
-/// always "the first target_designs accepted attempts in index order".
+/// The rejection-sampling sweep is sharded over `pool`.  Attempt k draws
+/// from counted stream Rng(opt.seed, k) and workers evaluate disjoint index
+/// blocks against their own Topology copies, so the retained designs, the
+/// attempt count, and every reject counter are bit-identical for any pool
+/// width: the dataset is always "the first target_designs accepted attempts
+/// in index order".
 Dataset generate_dataset(circuit::Topology& topology,
                          const device::Technology& tech,
-                         const SpecRange& range, const DataGenOptions& opt = {});
+                         const SpecRange& range, const DataGenOptions& opt = {},
+                         par::ThreadPool& pool = par::global_pool());
 
 /// Splits a dataset into train/validation by shuffling with `seed`
 /// (paper: 80:20).

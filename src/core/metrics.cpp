@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "linalg/stats.hpp"
-#include "par/thread_pool.hpp"
 
 namespace ota::core {
 
@@ -111,13 +110,13 @@ ScatterSeries scatter_series(const SequenceBuilder& builder,
 
 RuntimeStats runtime_stats(const SizingCopilot& copilot,
                            const std::vector<Specs>& targets,
-                           const CopilotOptions& opt, int threads) {
+                           const CopilotOptions& opt,
+                           par::ThreadPool& pool) {
   // Each target gets a pristine copy of the copilot so its outcome depends
   // only on (copilot state at call time, target) — not on which targets ran
   // before it on the same thread.  That per-target isolation is what makes
-  // the aggregate independent of the thread count.
+  // the aggregate independent of the pool width.
   std::vector<SizingOutcome> outcomes(targets.size());
-  par::ThreadPool pool(par::resolve_threads(threads));
   pool.parallel_for(targets.size(), [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       SizingCopilot worker = copilot;

@@ -61,13 +61,13 @@ struct RuntimeStats {
 ///
 /// Targets are independent: each one is sized by a fresh copy of `copilot`
 /// (its own Topology scratch state), and independent targets are evaluated
-/// concurrently on a thread pool (`threads` 0 = auto: OTA_THREADS env, else
-/// hardware concurrency).  All counting fields of the result are therefore
-/// bit-identical for any thread count; only the wall-clock averages
+/// concurrently on `pool`.  All counting fields of the result are therefore
+/// bit-identical for any pool width; only the wall-clock averages
 /// (avg_*_seconds) vary run to run.
 RuntimeStats runtime_stats(const SizingCopilot& copilot,
                            const std::vector<Specs>& targets,
-                           const CopilotOptions& opt = {}, int threads = 0);
+                           const CopilotOptions& opt = {},
+                           par::ThreadPool& pool = par::global_pool());
 
 /// Derives unseen-but-achievable spec targets from validation designs by
 /// relaxing each measured spec slightly (the "100 unique designs per

@@ -42,7 +42,7 @@ class PredictionClient {
   /// Enqueues one prediction.  Implementations may compute eagerly (the
   /// serial reference) or hand off to a batch scheduler; either way wait()
   /// on the handle yields text bit-identical to
-  /// `predictor.predict_batch({encoder_text}, max_tokens, 1).front()`.
+  /// `predictor.predict_batch({encoder_text}, max_tokens).front()`.
   /// Implementations must honor `cancel` at their natural granularity: the
   /// serial client checks it once at submit time, the scheduler-backed
   /// client hands it to the decode scheduler so an in-flight decode retires
@@ -81,13 +81,10 @@ class SerialPredictionClient : public PredictionClient {
     // The prediction runs inline, so submit time IS the only cancellation
     // point; an uncancelled request is computed exactly as before.
     cancel.check("SerialPredictionClient::submit");
-    // threads=1 keeps the prediction inline under outer worker threads
-    // (campaign fan-out), as the direct call site always did.
+    // A batch of one decodes inline on the submitting thread, whatever the
+    // pool (parallel_for runs a single item inline).
     return std::make_unique<Ready>(
-        model_
-            .predict_batch({encoder_text}, max_tokens, /*threads=*/1,
-                           precision_)
-            .front());
+        model_.predict_batch({encoder_text}, max_tokens, precision_).front());
   }
 
  private:

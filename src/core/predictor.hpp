@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "ml/precision.hpp"
+#include "par/thread_pool.hpp"
 
 namespace ota::core {
 
@@ -19,36 +20,26 @@ class Predictor {
   virtual std::string predict(const std::string& encoder_text,
                               int max_tokens) const = 0;
 
-  /// Predictions for many encoder sequences, positionally aligned with the
-  /// input.  The default is a serial loop over predict(); implementations
-  /// with a faster path (SizingModel decodes batches concurrently through
-  /// its inference engine) override it.  Contract for overrides: results
-  /// must be bit-identical to the serial loop for any `threads` value
-  /// (0 = auto: OTA_THREADS env, else hardware concurrency).
+  /// Predictions for many encoder sequences at numeric tier `precision`,
+  /// positionally aligned with the input.  The default is a serial loop
+  /// over predict(): the non-learned reference predictors have one answer
+  /// and no floating tiers, so they ignore both `precision` and `pool`.
+  /// Implementations with a faster path (SizingModel decodes batches
+  /// concurrently on `pool` through its inference engine) override it.
+  /// Contract for overrides: ml::Precision::kDouble output must be
+  /// bit-identical to the serial loop, and kFloat32 output deterministic,
+  /// for any pool width.
   virtual std::vector<std::string> predict_batch(
       const std::vector<std::string>& encoder_texts, int max_tokens,
-      int threads = 0) const {
-    (void)threads;
+      ml::Precision precision = ml::Precision::kDouble,
+      par::ThreadPool& /*pool*/ = par::global_pool()) const {
+    ml::validated_precision(precision, "Predictor::predict_batch");
     std::vector<std::string> out;
     out.reserve(encoder_texts.size());
     for (const std::string& text : encoder_texts) {
       out.push_back(predict(text, max_tokens));
     }
     return out;
-  }
-
-  /// Tier-selecting batch prediction.  Predictors with a numeric fast path
-  /// (SizingModel's float32 inference tier) override this; everything else —
-  /// notably the non-learned reference predictors, which have no floating
-  /// tiers at all — computes the one answer it has and ignores the knob.
-  /// Contract for overrides: ml::Precision::kDouble must stay bit-identical
-  /// to the 3-arg overload, and kFloat32 output must be deterministic for
-  /// any `threads` value.
-  virtual std::vector<std::string> predict_batch(
-      const std::vector<std::string>& encoder_texts, int max_tokens,
-      int threads, ml::Precision precision) const {
-    ml::validated_precision(precision, "Predictor::predict_batch");
-    return predict_batch(encoder_texts, max_tokens, threads);
   }
 };
 

@@ -74,7 +74,7 @@ std::vector<double> SizingModel::target_weights(const std::vector<TokenId>& tgt,
 
 TrainHistory SizingModel::train(
     const std::vector<std::pair<std::string, std::string>>& pairs,
-    const TrainOptions& opt) {
+    const TrainOptions& opt, par::ThreadPool& pool) {
   if (pairs.empty()) throw InvalidArgument("SizingModel::train: no examples");
   // Drop any previous model first: a throw below must leave the object
   // cleanly untrained, never half-trained or serving a stale engine.
@@ -121,8 +121,8 @@ TrainHistory SizingModel::train(
   ml::Adam adam(model->parameters(), aopt);
   // The batch size caps useful parallelism (and thus the replica count): a
   // minibatch can never occupy more workers than it has examples.
-  ml::DataParallelTrainer trainer(*model, adam, opt.threads,
-                                  std::max(1, opt.batch_size));
+  ml::DataParallelTrainer trainer(*model, adam, std::max(1, opt.batch_size),
+                                  pool);
 
   // All coordinator-side randomness (the split and the per-epoch shuffles)
   // stays on this one Rng; dropout draws live on per-example counted streams
@@ -190,14 +190,7 @@ std::string SizingModel::predict(const std::string& encoder_text,
 
 std::vector<std::string> SizingModel::predict_batch(
     const std::vector<std::string>& encoder_texts, int max_tokens,
-    int threads) const {
-  return predict_batch(encoder_texts, max_tokens, threads,
-                       ml::Precision::kDouble);
-}
-
-std::vector<std::string> SizingModel::predict_batch(
-    const std::vector<std::string>& encoder_texts, int max_tokens,
-    int threads, ml::Precision precision) const {
+    ml::Precision precision, par::ThreadPool& pool) const {
   ml::validated_precision(precision, "SizingModel::predict_batch");
   // An empty batch has exactly one correct answer and needs no model for it;
   // returning it up front keeps degenerate sweeps (0 validation designs, a
@@ -210,7 +203,7 @@ std::vector<std::string> SizingModel::predict_batch(
     srcs.push_back(tokenizer_.encode(text));
   }
   const auto decoded =
-      engine_->greedy_decode_batch(srcs, max_tokens, threads, precision);
+      engine_->greedy_decode_batch(srcs, max_tokens, precision, pool);
   std::vector<std::string> out;
   out.reserve(decoded.size());
   for (const auto& tokens : decoded) out.push_back(tokenizer_.decode(tokens));

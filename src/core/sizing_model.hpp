@@ -21,11 +21,6 @@ namespace ota::core {
 struct TrainOptions {
   int epochs = 12;
   int batch_size = 8;          ///< minibatch sharded across the worker pool
-  int threads = 0;             ///< 0 = auto (OTA_THREADS, then hardware),
-                               ///< capped at batch_size.  A pure performance
-                               ///< knob: the trajectory and final weights are
-                               ///< bit-identical for any value (see
-                               ///< ml/trainer.hpp).
   double lr = 1e-3;            ///< paper starts at 1e-4 at GPU scale
   double numeric_weight = 1.2; ///< paper: +20% on numeric tokens
   double val_fraction = 0.1;   ///< held out for the plateau lr schedule
@@ -44,7 +39,7 @@ struct TrainHistory {
   std::vector<double> train_loss;  ///< per epoch
   std::vector<double> val_loss;
   double seconds = 0.0;            ///< wall-clock training time
-  int threads = 1;                 ///< worker count the trainer resolved
+  int threads = 1;                 ///< trainer lanes (model replicas)
 };
 
 /// A text-to-text sizing model over (encoder sequence, decoder sequence)
@@ -52,11 +47,12 @@ struct TrainHistory {
 class SizingModel : public Predictor {
  public:
   /// Trains tokenizer + transformer from scratch on the given pairs.
-  /// Minibatches are data-parallel over opt.threads workers through
-  /// ml::DataParallelTrainer; the loss trajectory and final weights are
-  /// bit-identical for any thread count at a fixed seed.
+  /// Minibatches are data-parallel on `pool` through ml::DataParallelTrainer
+  /// (at most batch_size lanes); the loss trajectory and final weights are
+  /// bit-identical for any pool width at a fixed seed.
   TrainHistory train(const std::vector<std::pair<std::string, std::string>>& pairs,
-                     const TrainOptions& opt);
+                     const TrainOptions& opt,
+                     par::ThreadPool& pool = par::global_pool());
 
   /// Greedy prediction of the decoder text for an encoder text.  Decodes
   /// through the compiled inference engine (KV cache, no autograd graph);
@@ -64,18 +60,14 @@ class SizingModel : public Predictor {
   std::string predict(const std::string& encoder_text,
                       int max_tokens = 800) const override;
 
-  /// Batched greedy prediction: all requests decode concurrently through the
-  /// engine (bit-identical for any thread count, including the serial loop).
+  /// Batched greedy prediction: all requests decode concurrently on `pool`
+  /// through the engine.  kDouble is bit-identical to the serial loop;
+  /// kFloat32 decodes through the engine's float32 snapshot (agreement-gated
+  /// against the double tier).  Both are deterministic for any pool width.
   std::vector<std::string> predict_batch(
       const std::vector<std::string>& encoder_texts, int max_tokens = 800,
-      int threads = 0) const override;
-
-  /// Tier-selecting overload: kDouble is the bit-identity path above;
-  /// kFloat32 decodes through the engine's float32 snapshot (deterministic
-  /// for any thread count, agreement-gated against the double tier).
-  std::vector<std::string> predict_batch(
-      const std::vector<std::string>& encoder_texts, int max_tokens,
-      int threads, ml::Precision precision) const override;
+      ml::Precision precision = ml::Precision::kDouble,
+      par::ThreadPool& pool = par::global_pool()) const override;
 
   bool trained() const { return model_ != nullptr && engine_ != nullptr; }
   const nlp::BpeTokenizer& tokenizer() const;

@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/stats.hpp"
-#include "par/thread_pool.hpp"
 
 namespace ota::ml {
 
@@ -18,7 +17,7 @@ namespace {
 
 /// Door policy: a non-positive max_batch admits requests that can never
 /// join a batch and hangs every Ticket::wait() forever — refuse it at
-/// construction (before any thread or pool is spawned), same as the
+/// construction (before any thread is spawned), same as the
 /// max_tokens <= 0 check in submit().
 DecodeScheduler::Options validated(DecodeScheduler::Options opt) {
   if (opt.max_batch < 1) {
@@ -94,11 +93,9 @@ bool DecodeScheduler::Ticket::done() const {
 DecodeScheduler::DecodeScheduler(const InferenceEngine& engine)
     : DecodeScheduler(engine, Options()) {}
 
-DecodeScheduler::DecodeScheduler(const InferenceEngine& engine, Options opt)
-    : engine_(engine), opt_(validated(opt)),
-      own_pool_(opt.threads > 0 ? std::make_unique<par::ThreadPool>(opt.threads)
-                                : nullptr),
-      pool_(own_pool_ ? *own_pool_ : par::global_pool()) {
+DecodeScheduler::DecodeScheduler(const InferenceEngine& engine, Options opt,
+                                 par::ThreadPool& pool)
+    : engine_(engine), opt_(validated(opt)), pool_(pool) {
   thread_ = std::thread([this] { loop(); });
 }
 

@@ -44,10 +44,6 @@ class DecodeScheduler {
     /// batch that can never admit a request would hang every Ticket::wait()
     /// forever, so the constructor throws InvalidArgument instead.
     int max_batch = 64;
-    /// Intra-round fan-out: sessions step in parallel on this many workers.
-    /// 0 (default) = the persistent process-wide pool; > 0 = a dedicated
-    /// pool of that size owned by the scheduler.
-    int threads = 0;
     /// Numeric tier every session decodes at.  kDouble (default) is the
     /// bit-identity reference; kFloat32 decodes through the engine's f32
     /// snapshot — agreement-gated, see ml/precision.hpp.  Validated at
@@ -81,13 +77,15 @@ class DecodeScheduler {
     CancelToken cancel;  ///< the submitter's; read once per round
   };
 
-  /// Spawns the scheduler thread.  `engine` must outlive the scheduler.
-  /// Throws InvalidArgument for opt.max_batch < 1 — before any thread is
-  /// spawned.  (Two overloads rather than a defaulted Options argument: a
-  /// nested struct with member initializers cannot default-construct inside
-  /// its own enclosing class definition.)
+  /// Spawns the scheduler thread.  Each round's sessions step in parallel
+  /// on `pool`.  `engine` and `pool` must outlive the scheduler.  Throws
+  /// InvalidArgument for opt.max_batch < 1 — before any thread is spawned.
+  /// (Two overloads rather than a defaulted Options argument: a nested
+  /// struct with member initializers cannot default-construct inside its
+  /// own enclosing class definition.)
   explicit DecodeScheduler(const InferenceEngine& engine);
-  DecodeScheduler(const InferenceEngine& engine, Options opt);
+  DecodeScheduler(const InferenceEngine& engine, Options opt,
+                  par::ThreadPool& pool = par::global_pool());
 
   /// shutdown(true): outstanding requests finish before the thread exits.
   ~DecodeScheduler();
@@ -159,7 +157,6 @@ class DecodeScheduler {
 
   const InferenceEngine& engine_;
   Options opt_;
-  std::unique_ptr<par::ThreadPool> own_pool_;  ///< only when opt_.threads > 0
   par::ThreadPool& pool_;
 
   mutable std::mutex mu_;

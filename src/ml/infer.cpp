@@ -6,7 +6,6 @@
 #include <string>
 #include <type_traits>
 
-#include "par/thread_pool.hpp"
 
 namespace ota::ml {
 
@@ -504,7 +503,7 @@ std::vector<TokenId> InferenceEngine::greedy_decode(
 
 std::vector<std::vector<TokenId>> InferenceEngine::greedy_decode_batch(
     const std::vector<std::vector<TokenId>>& srcs, int64_t max_len,
-    par::ThreadPool& pool, Precision precision) const {
+    Precision precision, par::ThreadPool& pool) const {
   std::vector<std::vector<TokenId>> out(srcs.size());
   if (srcs.empty()) return out;
   if (max_len <= 0) {
@@ -522,21 +521,6 @@ std::vector<std::vector<TokenId>> InferenceEngine::greedy_decode_batch(
     }
   });
   return out;
-}
-
-std::vector<std::vector<TokenId>> InferenceEngine::greedy_decode_batch(
-    const std::vector<std::vector<TokenId>>& srcs, int64_t max_len,
-    int threads, Precision precision) const {
-  if (threads <= 0) {
-    // Default path: the persistent process-wide pool, so back-to-back batch
-    // calls reuse one set of workers instead of spawning a pool per call.
-    return greedy_decode_batch(srcs, max_len, par::global_pool(), precision);
-  }
-  // Explicit worker count: a dedicated pool of that size, never larger than
-  // the batch (a batch of one stays inline).
-  par::ThreadPool pool(
-      std::min(threads, static_cast<int>(std::max<size_t>(srcs.size(), 1))));
-  return greedy_decode_batch(srcs, max_len, pool, precision);
 }
 
 }  // namespace ota::ml

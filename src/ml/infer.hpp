@@ -16,7 +16,7 @@
 //    one-row work — O(L) per token, O(L^2) per sequence;
 //  * greedy_decode_batch decodes many requests concurrently on an ota::par
 //    thread pool (requests share only the immutable engine, so results are
-//    bit-identical for any thread count).
+//    bit-identical for any pool width).
 //
 // Numerical contract: the engine's greedy token output is IDENTICAL — token
 // for token, bit for bit — to Transformer::greedy_decode.  Every loop here
@@ -36,10 +36,7 @@
 
 #include "ml/precision.hpp"
 #include "ml/transformer.hpp"
-
-namespace ota::par {
-class ThreadPool;
-}
+#include "par/thread_pool.hpp"
 
 namespace ota::ml {
 
@@ -125,24 +122,15 @@ class InferenceEngine {
       const std::vector<nlp::TokenId>& src, int64_t max_len,
       Precision precision = Precision::kDouble) const;
 
-  /// Decodes every request independently on a thread pool.  `threads` 0
-  /// (the default) runs on the persistent process-wide pool
-  /// (par::global_pool(), sized by OTA_THREADS / hardware concurrency at
-  /// first use); a positive count spawns a dedicated pool of that size for
-  /// the call — the path the determinism-sweep tests rely on.  Results are
-  /// positionally aligned with `srcs` and bit-identical for any thread
-  /// count, including 1 (at either precision tier).  Throws InvalidArgument
-  /// when max_len <= 0 and the batch is non-empty (decoding zero tokens is
-  /// always a caller bug).
+  /// Decodes every request independently on `pool`.  Results are
+  /// positionally aligned with `srcs` and bit-identical for any pool width,
+  /// including an inline pool (at either precision tier).  Throws
+  /// InvalidArgument when max_len <= 0 and the batch is non-empty (decoding
+  /// zero tokens is always a caller bug).
   std::vector<std::vector<nlp::TokenId>> greedy_decode_batch(
       const std::vector<std::vector<nlp::TokenId>>& srcs, int64_t max_len,
-      int threads = 0, Precision precision = Precision::kDouble) const;
-
-  /// As above, on a caller-owned pool (shared-pool call sites and tests).
-  std::vector<std::vector<nlp::TokenId>> greedy_decode_batch(
-      const std::vector<std::vector<nlp::TokenId>>& srcs, int64_t max_len,
-      par::ThreadPool& pool,
-      Precision precision = Precision::kDouble) const;
+      Precision precision = Precision::kDouble,
+      par::ThreadPool& pool = par::global_pool()) const;
 
   /// Incremental decoding state for one request: the encoder memory, the
   /// precomputed cross-attention K/V of every decoder layer, and the growing

@@ -5,25 +5,12 @@
 
 namespace ota::ml {
 
-namespace {
-
-int effective_threads(int threads, int max_parallel) {
-  const int resolved = par::resolve_threads(threads);
-  return max_parallel > 0 ? std::min(resolved, max_parallel) : resolved;
-}
-
-}  // namespace
-
 DataParallelTrainer::DataParallelTrainer(Transformer& model, Adam& adam,
-                                         int threads, int max_parallel)
-    : DataParallelTrainer(model, adam, par::global_pool(), threads,
-                          max_parallel) {}
-
-DataParallelTrainer::DataParallelTrainer(Transformer& model, Adam& adam,
-                                         par::ThreadPool& pool, int threads,
-                                         int max_parallel)
+                                         int max_parallel,
+                                         par::ThreadPool& pool)
     : master_(model), adam_(adam), pool_(pool) {
-  const int n = std::max(1, effective_threads(threads, max_parallel));
+  int n = std::max(1, pool.size());
+  if (max_parallel > 0) n = std::min(n, max_parallel);
   replicas_.reserve(static_cast<size_t>(n));
   for (int r = 0; r < n; ++r) {
     replicas_.push_back(std::make_unique<Transformer>(master_.config()));

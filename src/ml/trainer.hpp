@@ -8,8 +8,8 @@
 // steps once per batch with the clip norm fused into the reduction.
 //
 // Determinism contract (property-tested in tests/test_determinism.cpp): the
-// loss trajectory and the final weights are bit-identical for any thread
-// count, including 1, because
+// loss trajectory and the final weights are bit-identical for any pool
+// width, including an inline pool, because
 //   * every example draws dropout from its own counted SplitMix64 stream,
 //     keyed by a global example index the coordinator assigns;
 //   * per-example gradients never share an accumulator — each is produced
@@ -37,20 +37,15 @@ struct TrainExample {
 class DataParallelTrainer {
  public:
   /// `model` is the master: Adam updates its parameters and the replicas
-  /// re-sync from it after every step.  Both references must outlive the
-  /// trainer.  `threads` <= 0 resolves via OTA_THREADS, then hardware.
-  /// `max_parallel` (> 0) additionally caps the lane count — callers pass
-  /// their batch size so a many-core host never allocates (or re-syncs)
-  /// replicas a batch can't occupy.  Work executes on the persistent
-  /// process-wide pool (par::global_pool()); the resolved lane count only
-  /// bounds how many replicas — and hence chunks — a batch is sharded into,
-  /// which by the determinism contract cannot change the results.
-  DataParallelTrainer(Transformer& model, Adam& adam, int threads = 0,
-                      int max_parallel = 0);
-
-  /// As above on a caller-owned pool (tests that pin a worker count).
-  DataParallelTrainer(Transformer& model, Adam& adam, par::ThreadPool& pool,
-                      int threads, int max_parallel);
+  /// re-sync from it after every step.  Both references and `pool` must
+  /// outlive the trainer.  The lane count (model replicas, hence chunks a
+  /// batch is sharded into) is min(max(1, pool.size()), max_parallel), so
+  /// replicas never outnumber the workers that run them; callers pass their
+  /// batch size as `max_parallel` (> 0; <= 0 = no cap) so a many-core host
+  /// never allocates (or re-syncs) replicas a batch can't occupy.  By the
+  /// determinism contract the lane count cannot change the results.
+  DataParallelTrainer(Transformer& model, Adam& adam, int max_parallel = 0,
+                      par::ThreadPool& pool = par::global_pool());
 
   /// Parallel lanes (model replicas); 1 when everything runs inline.
   int threads() const { return static_cast<int>(replicas_.size()); }
@@ -74,7 +69,7 @@ class DataParallelTrainer {
 
   Transformer& master_;
   Adam& adam_;
-  par::ThreadPool& pool_;  ///< global_pool() unless a test passed its own
+  par::ThreadPool& pool_;
   std::vector<std::unique_ptr<Transformer>> replicas_;
   std::vector<std::vector<Tensor>> slots_;  ///< per-example parameter grads
   std::vector<double> losses_;              ///< per-example losses

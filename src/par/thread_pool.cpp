@@ -1,8 +1,12 @@
 #include "par/thread_pool.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <string>
 
+#include "common/error.hpp"
 #include "common/stats.hpp"
 
 namespace ota::par {
@@ -24,10 +28,15 @@ int hardware_threads() {
 int env_threads() {
   const char* env = std::getenv("OTA_THREADS");
   if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v < 1 || v > 1024) return 0;
-  return static_cast<int>(v);
+  int v = 0;
+  const char* end = env + std::strlen(env);
+  const auto [ptr, ec] = std::from_chars(env, end, v);
+  if (ec != std::errc() || ptr != end || v < 1 || v > 1024) {
+    throw InvalidArgument(
+        "OTA_THREADS: expected an integer in [1, 1024], got '" +
+        std::string(env) + "'");
+  }
+  return v;
 }
 
 int resolve_threads(int requested) {

@@ -12,9 +12,12 @@
 //  * Workers share only immutable state; anything mutable (a Topology, a
 //    SizingCopilot, an Rng) is copied per worker or per item.
 //
-// Thread count policy: call sites pass an explicit request (options structs /
-// function parameters) or 0 for "auto", which reads the OTA_THREADS
-// environment variable and falls back to std::thread::hardware_concurrency().
+// Width policy: this module is the only one that knows a worker count.  Every
+// function that runs a data-parallel loop takes a `ThreadPool&` as its last
+// parameter, defaulting to global_pool(), whose width is OTA_THREADS if set,
+// else std::thread::hardware_concurrency().  Callers that need a specific
+// width (determinism sweeps in tests, benches) construct a ThreadPool(n) and
+// pass it.
 #pragma once
 
 #include <condition_variable>
@@ -33,7 +36,9 @@ namespace ota::par {
 /// std::thread::hardware_concurrency(), never less than 1.
 int hardware_threads();
 
-/// Parsed OTA_THREADS environment variable; 0 when unset or invalid.
+/// Parsed OTA_THREADS environment variable; 0 when unset or empty.  Any
+/// other value that is not a base-10 integer in [1, 1024] throws
+/// InvalidArgument naming the variable and the value.
 int env_threads();
 
 /// Effective thread count: `requested` if positive, else OTA_THREADS if set,
@@ -47,7 +52,7 @@ int resolve_threads(int requested = 0);
 /// is always safe to construct and use unconditionally.
 class ThreadPool {
  public:
-  explicit ThreadPool(int threads = resolve_threads());
+  explicit ThreadPool(int threads);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -108,16 +113,16 @@ class ThreadPool {
 };
 
 /// The process-wide persistent worker pool, constructed lazily on first use
-/// (size = resolve_threads(0): OTA_THREADS if set, else hardware concurrency)
-/// and kept alive until process exit.  The default execution substrate for
-/// every batched subsystem — decode batches (ml), AC sweeps (spice), training
-/// shards (ml) — so model replicas and workers survive across calls instead
+/// (size = resolve_threads(0): OTA_THREADS if set, else hardware concurrency;
+/// a malformed OTA_THREADS throws InvalidArgument here) and kept alive until
+/// process exit.  The default pool argument of every data-parallel function
+/// — dataset generation, runtime statistics, training shards, decode batches,
+/// AC sweeps, baseline populations — so workers survive across calls instead
 /// of being spawned per call, and concurrent subsystems share one set of OS
 /// threads instead of oversubscribing the host.  Nested parallel_for from one
 /// of its own workers degrades to an inline run (see parallel_for), so
-/// layered use is deadlock-free.  Call sites that need a specific worker
-/// count (determinism sweeps in tests, benches) keep constructing dedicated
-/// pools.
+/// layered use is deadlock-free.  With OTA_THREADS=1 (or one hardware
+/// thread) it is an inline pool: size() == 0.
 ThreadPool& global_pool();
 
 }  // namespace ota::par

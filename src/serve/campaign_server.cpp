@@ -108,6 +108,11 @@ CampaignServer::CampaignServer() : CampaignServer(Options()) {}
 CampaignServer::CampaignServer(Options opt) : opt_(opt) {
   // Door policy, same as the scheduler's: options that could only ever hang
   // or corrupt accounting are refused before any thread is spawned.
+  if (opt_.workers < 0) {
+    throw InvalidArgument(
+        "CampaignServer: workers must be >= 0 (0 = auto), got " +
+        std::to_string(opt_.workers));
+  }
   if (opt_.max_decode_batch < 1) {
     throw InvalidArgument(
         "CampaignServer: max_decode_batch must be positive, got " +

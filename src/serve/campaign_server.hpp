@@ -122,9 +122,10 @@ class CampaignServer {
  public:
   struct Options {
     /// Campaign worker threads draining the job queue.  0 = auto
-    /// (OTA_THREADS env, else hardware concurrency).  Workers are dedicated
-    /// threads, not pool lanes: a campaign blocks on decode tickets and
-    /// SPICE runs, and a blocked pool lane would stall unrelated work.
+    /// (OTA_THREADS env, else hardware concurrency); negative throws
+    /// InvalidArgument.  Workers are dedicated threads, not pool lanes: a
+    /// campaign blocks on decode tickets and SPICE runs, and a blocked pool
+    /// lane would stall unrelated work.
     int workers = 0;
     /// Per-topology cap on concurrently-decoding sessions.  Each
     /// topology's scheduler fans its rounds out on par::global_pool().
@@ -155,10 +156,10 @@ class CampaignServer {
   };
 
   CampaignServer();
-  /// Throws InvalidArgument for max_decode_batch < 1 (requests could never
-  /// join a decode batch and would hang), max_queue_depth < 0, max_retries
-  /// < 0 or a NaN block_timeout_seconds — before any worker thread is
-  /// spawned.
+  /// Throws InvalidArgument for workers < 0, max_decode_batch < 1 (requests
+  /// could never join a decode batch and would hang), max_queue_depth < 0,
+  /// max_retries < 0 or a NaN block_timeout_seconds — before any worker
+  /// thread is spawned.
   explicit CampaignServer(Options opt);
   /// shutdown(true): outstanding campaigns finish before teardown.
   ~CampaignServer();

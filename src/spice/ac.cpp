@@ -1,10 +1,8 @@
 #include "spice/ac.hpp"
 
-#include <algorithm>
 #include <numbers>
 
 #include "common/error.hpp"
-#include "par/thread_pool.hpp"
 
 namespace ota::spice {
 
@@ -96,30 +94,15 @@ void AcAnalysis::solve_point(double f_hz, Workspace& ws) const {
 }
 
 void AcAnalysis::for_each_point(
-    const std::vector<double>& freqs, int threads,
+    const std::vector<double>& freqs, par::ThreadPool& pool,
     const std::function<void(size_t, const Workspace&)>& sink) const {
-  auto run = [&](par::ThreadPool& pool) {
-    pool.parallel_for(freqs.size(), [&](size_t begin, size_t end) {
-      Workspace ws;
-      for (size_t i = begin; i < end; ++i) {
-        solve_point(freqs[i], ws);
-        sink(i, ws);
-      }
-    });
-  };
-  if (threads <= 0) {
-    // Auto: the persistent process-wide pool — sweeps issued back to back
-    // (measure_ac's refinements, campaign verification under a server) reuse
-    // one set of workers instead of spawning a pool per sweep.  Nested calls
-    // from inside that pool degrade to inline runs, same results.
-    run(par::global_pool());
-    return;
-  }
-  // Explicit worker count (determinism sweeps in tests/benches): a dedicated
-  // pool, never wider than the point count.
-  par::ThreadPool pool(std::min<int>(
-      threads, static_cast<int>(std::max<size_t>(freqs.size(), 1))));
-  run(pool);
+  pool.parallel_for(freqs.size(), [&](size_t begin, size_t end) {
+    Workspace ws;
+    for (size_t i = begin; i < end; ++i) {
+      solve_point(freqs[i], ws);
+      sink(i, ws);
+    }
+  });
 }
 
 std::vector<Cplx> AcAnalysis::node_voltages(const Workspace& ws) const {
@@ -151,9 +134,9 @@ Cplx AcAnalysis::transfer(double f_hz, const std::string& node) const {
 }
 
 std::vector<std::vector<Cplx>> AcAnalysis::sweep(
-    const std::vector<double>& freqs, int threads) const {
+    const std::vector<double>& freqs, par::ThreadPool& pool) const {
   std::vector<std::vector<Cplx>> out(freqs.size());
-  for_each_point(freqs, threads, [&](size_t i, const Workspace& ws) {
+  for_each_point(freqs, pool, [&](size_t i, const Workspace& ws) {
     out[i] = node_voltages(ws);
   });
   return out;
@@ -161,11 +144,11 @@ std::vector<std::vector<Cplx>> AcAnalysis::sweep(
 
 std::vector<Cplx> AcAnalysis::transfer_sweep(const std::vector<double>& freqs,
                                              const std::string& node,
-                                             int threads) const {
+                                             par::ThreadPool& pool) const {
   const circuit::NodeId id = netlist_.find_node(node);
   std::vector<Cplx> out(freqs.size());
   if (id == kGround) return out;  // the reference node is identically zero
-  for_each_point(freqs, threads, [&](size_t i, const Workspace& ws) {
+  for_each_point(freqs, pool, [&](size_t i, const Workspace& ws) {
     out[i] = ws.x[static_cast<size_t>(id - 1)];
   });
   return out;

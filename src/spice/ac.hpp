@@ -13,7 +13,7 @@
 // reusable scratch, factors, and solves — no netlist walk, no name lookups,
 // no per-point allocation.  sweep()/transfer_sweep() fan frequency points
 // across an ota::par pool with results written to caller-indexed slots, so
-// sweep output is bit-identical for any thread count (the repository-wide
+// sweep output is bit-identical for any pool width (the repository-wide
 // determinism contract).
 #pragma once
 
@@ -25,6 +25,7 @@
 #include "device/technology.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
+#include "par/thread_pool.hpp"
 #include "spice/dc.hpp"
 
 namespace ota::spice {
@@ -48,19 +49,18 @@ class AcAnalysis {
   std::complex<double> transfer(double f_hz, const std::string& node) const;
 
   /// Batched sweep: node-voltage vectors (as solve()) for every frequency,
-  /// in input order.  `threads` follows the repository convention — an
-  /// explicit worker count (a dedicated pool, for determinism sweeps), or 0
-  /// for the persistent process-wide pool (par::global_pool()) — but
-  /// defaults to 1 because AC sweeps commonly run inside an outer parallel
-  /// region (dataset generation, campaign evaluation).  Results are
-  /// bit-identical for every thread count.
+  /// in input order, with the points fanned out on `pool`.  Results are
+  /// bit-identical for every pool width.  Callers already inside an outer
+  /// parallel region (spice::measure_ac under dataset generation or
+  /// campaign evaluation) pass an inline pool.
   std::vector<std::vector<std::complex<double>>> sweep(
-      const std::vector<double>& freqs, int threads = 1) const;
+      const std::vector<double>& freqs,
+      par::ThreadPool& pool = par::global_pool()) const;
 
   /// Batched transfer(): the named node's value at every frequency.
   std::vector<std::complex<double>> transfer_sweep(
       const std::vector<double>& freqs, const std::string& node,
-      int threads = 1) const;
+      par::ThreadPool& pool = par::global_pool()) const;
 
   /// Small-signal device parameters used by this analysis.
   const std::map<std::string, device::SmallSignal>& devices() const {
@@ -85,7 +85,7 @@ class AcAnalysis {
   /// The shared sweep scaffold: solves every frequency across the pool
   /// (per-chunk workspaces, caller-indexed order) and hands each solved
   /// point to `sink(index, ws)` for output extraction.
-  void for_each_point(const std::vector<double>& freqs, int threads,
+  void for_each_point(const std::vector<double>& freqs, par::ThreadPool& pool,
                       const std::function<void(size_t, const Workspace&)>&
                           sink) const;
 

@@ -60,6 +60,19 @@ std::optional<double> crossing_from_scan(const AcAnalysis& ac,
   return std::nullopt;
 }
 
+// The coarse scan, swept on the calling thread through an inline pool.
+// Measurements already run inside an outer parallel region (dataset attempts,
+// baseline populations, Stage IV verifications on campaign-server threads,
+// which are not pool workers); a global-pool sweep here would fan every
+// ~100-point scan out into the pool those regions and the decode scheduler's
+// rounds use.
+std::vector<std::complex<double>> coarse_sweep(const AcAnalysis& ac,
+                                               const std::vector<double>& grid,
+                                               const std::string& node) {
+  par::ThreadPool inline_pool(1);
+  return ac.transfer_sweep(grid, node, inline_pool);
+}
+
 std::vector<double> magnitudes(const std::vector<std::complex<double>>& h) {
   std::vector<double> m(h.size());
   for (size_t i = 0; i < h.size(); ++i) m[i] = std::abs(h[i]);
@@ -74,7 +87,7 @@ std::optional<double> find_falling_crossing(const AcAnalysis& ac,
                                             const MeasureOptions& opt) {
   const std::vector<double> grid = scan_grid(opt);
   const std::vector<double> mags =
-      magnitudes(ac.transfer_sweep(grid, node, opt.threads));
+      magnitudes(coarse_sweep(ac, grid, node));
   return crossing_from_scan(ac, node, target, grid, mags, opt);
 }
 
@@ -84,8 +97,7 @@ AcMetrics measure_ac(const AcAnalysis& ac, const std::string& node,
   // One batched coarse sweep serves the DC-gain readout and both crossing
   // searches (the pre-batched path re-scanned the grid once per crossing).
   const std::vector<double> grid = scan_grid(opt);
-  const std::vector<std::complex<double>> h =
-      ac.transfer_sweep(grid, node, opt.threads);
+  const std::vector<std::complex<double>> h = coarse_sweep(ac, grid, node);
   const std::vector<double> mags = magnitudes(h);
 
   const std::complex<double> h0 = h.front();

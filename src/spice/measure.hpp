@@ -4,9 +4,9 @@
 // All measurements ride the batched AC path: one coarse log-spaced
 // transfer_sweep() covers the whole [f_low, f_high] scan (shared by the gain
 // readout and both crossing searches), and only the final bisection
-// refinements solve individual points.  The coarse sweep fans across the
-// ota::par pool when MeasureOptions::threads allows; results are
-// bit-identical for every thread count.
+// refinements solve individual points.  Everything runs on the calling
+// thread: measurements execute inside outer parallel regions (dataset
+// generation, campaign evaluation), which already fill the workers.
 #pragma once
 
 #include <optional>
@@ -31,14 +31,6 @@ struct MeasureOptions {
   double f_high = 1e12;     ///< upper limit of crossover searches [Hz]
   int points_per_decade = 8;  ///< coarse-scan density before bisection
   double rel_tol = 1e-6;    ///< bisection relative frequency tolerance
-  /// Worker threads for the coarse sweep (see AcAnalysis::sweep): explicit
-  /// count, or 0 for auto (OTA_THREADS env, else hardware concurrency).
-  /// Defaults to 1 because measurements commonly run inside an outer
-  /// parallel region (dataset generation, campaign evaluation).  A value
-  /// > 1 spawns one pool per measurement for the ~100-point coarse sweep —
-  /// worthwhile for interactive top-level calls, not inside tight loops
-  /// (parallelize across candidates there instead).
-  int threads = 1;
 };
 
 /// Measures gain / BW / UGF / PM at the named output node over one coarse

@@ -3,9 +3,8 @@
 // Wraps DC solve + AC measurement + region classification — the exact loop
 // the paper's data-generation stage (OCEAN scripts) and Stage IV verification
 // run per candidate sizing.  The AC measurement rides the batched sweep
-// engine (one coarse transfer_sweep per evaluation, see spice/measure.hpp);
-// MeasureOptions::threads controls how far that sweep fans out across the
-// ota::par pool.
+// engine (one coarse transfer_sweep per evaluation on the calling thread,
+// see spice/measure.hpp).
 #pragma once
 
 #include <map>

@@ -2,9 +2,8 @@
 //
 // Three property groups:
 //  * AcSweepTest — the batch path is THE path: sweep()/transfer_sweep()
-//    agree bit-for-bit with per-point solve()/transfer() loops, and the
-//    batched measure_ac is invariant in its thread knob.
-//  * DeterminismTest — thread count is a pure performance knob for sweeps
+//    agree bit-for-bit with per-point solve()/transfer() loops.
+//  * DeterminismTest — pool width is a pure performance knob for sweeps
 //    (the fixture name opts these tests into the TSan CI gate alongside the
 //    dataset/training determinism suites).
 //  * LuMultiRhs — the multi-RHS / solve-into-preallocated LU API against the
@@ -153,7 +152,7 @@ TEST_F(AcSweepTest, MeasureUsesOneSweepAndMatchesLegacyShape) {
 }
 
 // ---------------------------------------------------------------------------
-// Thread-count bit-identity (the fixture name registers these under the
+// Pool-width bit-identity (the fixture name registers these under the
 // DeterminismTest.* umbrella that the TSan preset/CI job selects).
 
 class DeterminismTest : public ::testing::Test {
@@ -166,10 +165,11 @@ TEST_F(DeterminismTest, AcSweepBitIdenticalAcrossThreadCounts) {
   const AcAnalysis ac = make_ota_analysis(topo, tech);
   const auto freqs = log_grid(1.0, 1e11, 64);
 
-  const auto serial = ac.sweep(freqs, 1);
-  expect_bit_identical(serial, ac.sweep(freqs, 8));
+  par::ThreadPool pool1(1), pool8(8), pool3(3);
+  const auto serial = ac.sweep(freqs, pool1);
+  expect_bit_identical(serial, ac.sweep(freqs, pool8));
   // An odd worker count chunks the grid differently but must agree too.
-  expect_bit_identical(serial, ac.sweep(freqs, 3));
+  expect_bit_identical(serial, ac.sweep(freqs, pool3));
 }
 
 TEST_F(DeterminismTest, AcTransferSweepBitIdenticalAcrossThreadCounts) {
@@ -179,30 +179,14 @@ TEST_F(DeterminismTest, AcTransferSweepBitIdenticalAcrossThreadCounts) {
   const AcAnalysis ac(topo.netlist, tech, dc);
   const auto freqs = log_grid(1.0, 1e10, 48);
 
-  const auto serial = ac.transfer_sweep(freqs, topo.output_node, 1);
-  const auto par8 = ac.transfer_sweep(freqs, topo.output_node, 8);
+  par::ThreadPool pool1(1), pool8(8);
+  const auto serial = ac.transfer_sweep(freqs, topo.output_node, pool1);
+  const auto par8 = ac.transfer_sweep(freqs, topo.output_node, pool8);
   ASSERT_EQ(serial.size(), par8.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].real(), par8[i].real()) << "point " << i;
     EXPECT_EQ(serial[i].imag(), par8[i].imag()) << "point " << i;
   }
-}
-
-TEST_F(DeterminismTest, MeasureAcBitIdenticalAcrossThreadCounts) {
-  auto topo = circuit::make_5t_ota(tech);
-  const AcAnalysis ac = make_ota_analysis(topo, tech);
-
-  MeasureOptions serial_opt;
-  serial_opt.threads = 1;
-  MeasureOptions par_opt;
-  par_opt.threads = 8;
-  const AcMetrics a = measure_ac(ac, "vout", serial_opt);
-  const AcMetrics b = measure_ac(ac, "vout", par_opt);
-  EXPECT_EQ(a.gain_db, b.gain_db);
-  EXPECT_EQ(a.gain_linear, b.gain_linear);
-  EXPECT_EQ(a.bw_3db_hz, b.bw_3db_hz);
-  EXPECT_EQ(a.ugf_hz, b.ugf_hz);
-  EXPECT_EQ(a.phase_margin_deg, b.phase_margin_deg);
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 // Parallel-determinism property tests.
 //
-// The par layer's contract is that thread count is a pure performance knob:
-// dataset generation and campaign evaluation must produce bit-identical
-// results for OTA_THREADS=1 and OTA_THREADS=8 at the same seed (counted
-// SplitMix64 RNG streams + per-worker state isolation), while distinct seeds
-// must still produce distinct outputs.
+// The par layer's contract is that pool width is a pure performance knob:
+// dataset generation, campaign evaluation, training and the baseline
+// optimizers must produce bit-identical results on 1-, 3- and 8-worker pools
+// at the same seed (counted SplitMix64 RNG streams + per-worker state
+// isolation), while distinct seeds must still produce distinct outputs.
+// Each test builds the par::ThreadPool(n) it needs and passes it in, so the
+// contract holds for every OTA_THREADS the default global_pool() can take.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
+#include "baselines/baselines.hpp"
 #include "common/rng.hpp"
 #include "core/copilot.hpp"
 #include "core/metrics.hpp"
@@ -50,15 +53,16 @@ class DeterminismTest : public ::testing::Test {
  protected:
   device::Technology tech = device::Technology::default65nm();
 
-  Dataset generate(const std::string& name, int threads, uint64_t seed = 7,
+  Dataset generate(const std::string& name, int workers, uint64_t seed = 7,
                    int n = 25) {
     auto topo = circuit::make_topology(name, tech);
     DataGenOptions opt;
     opt.target_designs = n;
     opt.max_attempts = 20000;
     opt.seed = seed;
-    opt.threads = threads;
-    return generate_dataset(topo, tech, SpecRange::for_topology(name), opt);
+    par::ThreadPool pool(workers);
+    return generate_dataset(topo, tech, SpecRange::for_topology(name), opt,
+                            pool);
   }
 };
 
@@ -118,8 +122,9 @@ TEST_F(DeterminismTest, RuntimeStatsCountsIdenticalAcrossThreadCounts) {
   const SizingCopilot copilot(topo, tech, builder, nn, luts);
   const auto targets = targets_from_designs(ds.designs, 8, 0.06, 17);
 
-  const RuntimeStats serial = runtime_stats(copilot, targets, {}, 1);
-  const RuntimeStats par8 = runtime_stats(copilot, targets, {}, 8);
+  par::ThreadPool pool1(1), pool8(8);
+  const RuntimeStats serial = runtime_stats(copilot, targets, {}, pool1);
+  const RuntimeStats par8 = runtime_stats(copilot, targets, {}, pool8);
 
   // Every counting field must agree bit-for-bit; only the wall-clock
   // averages are allowed to differ between runs.
@@ -170,11 +175,10 @@ std::vector<std::pair<std::string, std::string>> synthetic_pairs(int n) {
   return pairs;
 }
 
-TrainOptions tiny_train_options(int threads, uint64_t seed = 7) {
+TrainOptions tiny_train_options(uint64_t seed = 7) {
   TrainOptions opt;
   opt.epochs = 2;
   opt.batch_size = 5;  // deliberately not a multiple of the example count
-  opt.threads = threads;
   opt.bpe_merges = 48;
   opt.d_model = 16;
   opt.n_heads = 2;
@@ -197,13 +201,14 @@ void expect_same_weights(const SizingModel& a, const SizingModel& b) {
 TEST_F(DeterminismTest, TrainingBitIdenticalAcrossThreadCounts) {
   const auto pairs = synthetic_pairs(23);
 
+  par::ThreadPool pool1(1), pool8(8), pool3(3);
   SizingModel serial;
-  const TrainHistory h1 = serial.train(pairs, tiny_train_options(1));
+  const TrainHistory h1 = serial.train(pairs, tiny_train_options(), pool1);
   ASSERT_EQ(h1.train_loss.size(), 2u);
   EXPECT_EQ(h1.threads, 1);
 
   SizingModel par8;
-  const TrainHistory h8 = par8.train(pairs, tiny_train_options(8));
+  const TrainHistory h8 = par8.train(pairs, tiny_train_options(), pool8);
   // Worker count is capped at the batch size (5): more workers than
   // examples per batch could never be occupied.
   EXPECT_EQ(h8.threads, 5);
@@ -216,7 +221,7 @@ TEST_F(DeterminismTest, TrainingBitIdenticalAcrossThreadCounts) {
 
   // An odd worker count shards batches differently but must agree too.
   SizingModel par3;
-  const TrainHistory h3 = par3.train(pairs, tiny_train_options(3));
+  const TrainHistory h3 = par3.train(pairs, tiny_train_options(), pool3);
   EXPECT_EQ(h1.train_loss, h3.train_loss);
   EXPECT_EQ(h1.val_loss, h3.val_loss);
   expect_same_weights(serial, par3);
@@ -224,12 +229,74 @@ TEST_F(DeterminismTest, TrainingBitIdenticalAcrossThreadCounts) {
 
 TEST_F(DeterminismTest, TrainingSeedsDiffer) {
   const auto pairs = synthetic_pairs(12);
+  par::ThreadPool pool(4);
   SizingModel a, b;
-  const TrainHistory ha = a.train(pairs, tiny_train_options(4, 7));
-  const TrainHistory hb = b.train(pairs, tiny_train_options(4, 8));
+  const TrainHistory ha = a.train(pairs, tiny_train_options(7), pool);
+  const TrainHistory hb = b.train(pairs, tiny_train_options(8), pool);
   ASSERT_FALSE(ha.train_loss.empty());
   ASSERT_FALSE(hb.train_loss.empty());
   EXPECT_NE(ha.train_loss[0], hb.train_loss[0]);
+}
+
+// ---------------------------------------------------------------------------
+// Baseline optimizers (Table IX).  PSO, DE and BO evaluate each generation as
+// one batch on the pool, with every RNG draw on the calling thread.  The
+// target is one no 5T-OTA in range can meet (60 dB single-stage), so no run
+// stops early: every generation of the budget is on trial at each width.
+
+template <typename Optimizer>
+void expect_optimizer_bit_identical(const device::Technology& tech,
+                                    Optimizer optimize) {
+  const int widths[] = {1, 3, 8};
+  std::vector<baselines::OptResult> results;
+  for (int workers : widths) {
+    baselines::SizingProblem problem(circuit::make_5t_ota(tech), tech,
+                                     Specs{60.0, 50e6, 5e9});
+    par::ThreadPool pool(workers);
+    results.push_back(optimize(problem, pool));
+  }
+  const baselines::OptResult& serial = results.front();
+  EXPECT_FALSE(serial.success);
+  EXPECT_GT(serial.iterations, 1);
+  for (size_t i = 1; i < results.size(); ++i) {
+    const baselines::OptResult& r = results[i];
+    EXPECT_EQ(r.best_x, serial.best_x) << widths[i] << " workers";
+    EXPECT_EQ(r.best_cost, serial.best_cost) << widths[i] << " workers";
+    EXPECT_EQ(r.simulations, serial.simulations) << widths[i] << " workers";
+    EXPECT_EQ(r.iterations, serial.iterations) << widths[i] << " workers";
+    EXPECT_EQ(r.success, serial.success) << widths[i] << " workers";
+  }
+}
+
+TEST_F(DeterminismTest, ParticleSwarmBitIdenticalAcrossThreadCounts) {
+  baselines::PsoOptions opt;
+  opt.max_simulations = 60;
+  opt.swarm_size = 8;
+  expect_optimizer_bit_identical(
+      tech, [&](baselines::SizingProblem& p, par::ThreadPool& pool) {
+        return baselines::particle_swarm(p, opt, pool);
+      });
+}
+
+TEST_F(DeterminismTest, DifferentialEvolutionBitIdenticalAcrossThreadCounts) {
+  baselines::DeOptions opt;
+  opt.max_simulations = 60;
+  opt.population = 8;
+  expect_optimizer_bit_identical(
+      tech, [&](baselines::SizingProblem& p, par::ThreadPool& pool) {
+        return baselines::differential_evolution(p, opt, pool);
+      });
+}
+
+TEST_F(DeterminismTest, BayesianOptimizationBitIdenticalAcrossThreadCounts) {
+  baselines::BoOptions opt;
+  opt.max_simulations = 20;
+  opt.initial_samples = 8;
+  opt.candidates = 64;
+  expect_optimizer_bit_identical(
+      tech, [&](baselines::SizingProblem& p, par::ThreadPool& pool) {
+        return baselines::bayesian_optimization(p, opt, pool);
+      });
 }
 
 }  // namespace

@@ -139,8 +139,11 @@ TEST(InferenceEngine, BatchBitIdenticalAcrossThreadCounts) {
   const Transformer& model = trained_model(5, 60);
   const InferenceEngine engine(model);
   const auto& srcs = probe_sources();
-  const auto serial = engine.greedy_decode_batch(srcs, 16, /*threads=*/1);
-  const auto wide = engine.greedy_decode_batch(srcs, 16, /*threads=*/8);
+  par::ThreadPool pool1(1), pool8(8);
+  const auto serial =
+      engine.greedy_decode_batch(srcs, 16, Precision::kDouble, pool1);
+  const auto wide =
+      engine.greedy_decode_batch(srcs, 16, Precision::kDouble, pool8);
   ASSERT_EQ(serial.size(), srcs.size());
   EXPECT_EQ(serial, wide);
 }
@@ -151,8 +154,10 @@ TEST(InferenceEngine, BatchRejectsNonpositiveTokenBudget) {
   // batch is a no-op whatever the budget.
   const Transformer& model = trained_model(5, 60);
   const InferenceEngine engine(model);
+  par::ThreadPool pool8(8);
   EXPECT_THROW((void)engine.greedy_decode_batch({{4, 5}}, 0), InvalidArgument);
-  EXPECT_THROW((void)engine.greedy_decode_batch({{4, 5}}, -7, /*threads=*/8),
+  EXPECT_THROW((void)engine.greedy_decode_batch({{4, 5}}, -7,
+                                                Precision::kDouble, pool8),
                InvalidArgument);
   EXPECT_TRUE(engine.greedy_decode_batch({}, 0).empty());
 }
@@ -258,10 +263,11 @@ TEST(InferenceEngine, F32BatchBitIdenticalAcrossThreadCounts) {
   const Transformer& model = trained_model(5, 60);
   const InferenceEngine engine(model);
   const auto& srcs = probe_sources();
+  par::ThreadPool pool1(1), pool8(8);
   const auto serial =
-      engine.greedy_decode_batch(srcs, 16, /*threads=*/1, Precision::kFloat32);
+      engine.greedy_decode_batch(srcs, 16, Precision::kFloat32, pool1);
   const auto wide =
-      engine.greedy_decode_batch(srcs, 16, /*threads=*/8, Precision::kFloat32);
+      engine.greedy_decode_batch(srcs, 16, Precision::kFloat32, pool8);
   ASSERT_EQ(serial.size(), srcs.size());
   EXPECT_EQ(serial, wide);
 }
@@ -275,7 +281,8 @@ TEST(InferenceEngine, ForgedPrecisionIsRefused) {
   const auto forged = static_cast<Precision>(7);
   EXPECT_THROW(InferenceEngine::Session(engine, {4, 5}, forged),
                InvalidArgument);
-  EXPECT_THROW((void)engine.greedy_decode_batch({{4, 5}}, 8, 1, forged),
+  par::ThreadPool pool1(1);
+  EXPECT_THROW((void)engine.greedy_decode_batch({{4, 5}}, 8, forged, pool1),
                InvalidArgument);
 }
 
@@ -320,13 +327,16 @@ TEST(SizingModelInfer, PredictBatchBitIdenticalAcrossThreadCounts) {
   }
   std::vector<std::string> serial;
   for (const auto& t : texts) serial.push_back(model.predict(t, 64));
-  EXPECT_EQ(model.predict_batch(texts, 64, /*threads=*/1), serial);
-  EXPECT_EQ(model.predict_batch(texts, 64, /*threads=*/8), serial);
+  par::ThreadPool pool1(1), pool8(8);
+  EXPECT_EQ(model.predict_batch(texts, 64, ml::Precision::kDouble, pool1),
+            serial);
+  EXPECT_EQ(model.predict_batch(texts, 64, ml::Precision::kDouble, pool8),
+            serial);
 }
 
 TEST(SizingModelInfer, PredictBatchPrecisionOverload) {
-  // The 4-arg overload at kDouble IS the 3-arg path (bit-identical); the
-  // kFloat32 tier must be deterministic for any thread count.  Token-level
+  // An explicit kDouble IS the default path (bit-identical); the kFloat32
+  // tier must be deterministic for any pool width.  Token-level
   // agreement between the tiers is asserted on well-trained models (the ml
   // section above, the DeterminismTest serving suite, bench_infer_tier) —
   // this 2-epoch text model only owes tier determinism.
@@ -336,14 +346,15 @@ TEST(SizingModelInfer, PredictBatchPrecisionOverload) {
     texts.push_back("gain=" + std::to_string(42 + i) +
                     " bw=" + std::to_string(13 + i));
   }
-  EXPECT_EQ(model.predict_batch(texts, 64, 1, ml::Precision::kDouble),
-            model.predict_batch(texts, 64, 1));
+  par::ThreadPool pool1(1), pool8(8);
+  EXPECT_EQ(model.predict_batch(texts, 64, ml::Precision::kDouble, pool1),
+            model.predict_batch(texts, 64));
   const auto f32_serial =
-      model.predict_batch(texts, 64, 1, ml::Precision::kFloat32);
-  EXPECT_EQ(model.predict_batch(texts, 64, 8, ml::Precision::kFloat32),
+      model.predict_batch(texts, 64, ml::Precision::kFloat32, pool1);
+  EXPECT_EQ(model.predict_batch(texts, 64, ml::Precision::kFloat32, pool8),
             f32_serial);
-  EXPECT_THROW((void)model.predict_batch(texts, 64, 1,
-                                         static_cast<ml::Precision>(3)),
+  EXPECT_THROW((void)model.predict_batch(texts, 64,
+                                         static_cast<ml::Precision>(3), pool1),
                InvalidArgument);
 }
 
@@ -352,7 +363,10 @@ TEST(SizingModelInfer, PredictBatchEmptyInputReturnsEmpty) {
   // untrained model (degenerate sweeps, drained campaign queues).
   const SizingModel untrained;
   EXPECT_TRUE(untrained.predict_batch({}, 64).empty());
-  EXPECT_TRUE(trained_sizing_model().predict_batch({}, 64, 8).empty());
+  par::ThreadPool pool8(8);
+  EXPECT_TRUE(trained_sizing_model()
+                  .predict_batch({}, 64, ml::Precision::kDouble, pool8)
+                  .empty());
 }
 
 TEST(SizingModelInfer, EnginePredictionMatchesReferenceTransformer) {

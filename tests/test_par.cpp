@@ -15,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
+
 namespace ota::par {
 namespace {
 
@@ -127,10 +129,11 @@ TEST(ParTest, EnvThreadsParsesOtaThreads) {
   EXPECT_EQ(resolve_threads(), 6);
   EXPECT_EQ(resolve_threads(3), 3);  // explicit request wins over env
 
-  ::setenv("OTA_THREADS", "not-a-number", 1);
-  EXPECT_EQ(env_threads(), 0);
-  ::setenv("OTA_THREADS", "0", 1);
-  EXPECT_EQ(env_threads(), 0);
+  // Set but malformed: parse-or-throw, never a silent fall back to auto.
+  for (const char* bad : {"not-a-number", "0", "8x", "-3", "2000"}) {
+    ::setenv("OTA_THREADS", bad, 1);
+    EXPECT_THROW((void)env_threads(), InvalidArgument) << bad;
+  }
 
   ::unsetenv("OTA_THREADS");
   EXPECT_EQ(env_threads(), 0);

@@ -166,8 +166,8 @@ TEST_F(DeterminismTest, SchedulerBitIdenticalToGreedyDecode) {
   for (int threads : {1, 3, 8}) {
     ml::DecodeScheduler::Options opt;
     opt.max_batch = 4;  // smaller than the request count: forces queueing
-    opt.threads = threads;
-    ml::DecodeScheduler scheduler(engine, opt);
+    par::ThreadPool pool(threads);
+    ml::DecodeScheduler scheduler(engine, opt, pool);
 
     // Concurrent submitters in a shuffled order: arrival order and batch
     // composition vary run to run, results must not.
@@ -285,9 +285,9 @@ TEST_F(DeterminismTest, SchedulerF32TierAgreesAcrossThreadsAndBatches) {
   for (int threads : {1, 3, 8}) {
     ml::DecodeScheduler::Options opt;
     opt.max_batch = 4;
-    opt.threads = threads;
     opt.precision = ml::Precision::kFloat32;
-    ml::DecodeScheduler scheduler(engine, opt);
+    par::ThreadPool pool(threads);
+    ml::DecodeScheduler scheduler(engine, opt, pool);
 
     std::vector<size_t> order(srcs.size());
     std::iota(order.begin(), order.end(), size_t{0});
@@ -600,6 +600,9 @@ TEST_F(DeterminismTest, CampaignServerRejectsBadOptions) {
   EXPECT_THROW({ CampaignServer s(bad); }, InvalidArgument);
   bad = CampaignServer::Options{};
   bad.block_timeout_seconds = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW({ CampaignServer s(bad); }, InvalidArgument);
+  bad = CampaignServer::Options{};
+  bad.workers = -1;
   EXPECT_THROW({ CampaignServer s(bad); }, InvalidArgument);
 }
 
@@ -916,8 +919,8 @@ TEST_F(DeterminismTest, SchedulerSurvivesPoisonedEncode) {
     // admission order, so hit 1 is deterministically the first submission.
     fault::ScopedFaults faults("ml.session.encode:once=1");
     ml::DecodeScheduler::Options opt;
-    opt.threads = threads;
-    ml::DecodeScheduler scheduler(engine, opt);
+    par::ThreadPool pool(threads);
+    ml::DecodeScheduler scheduler(engine, opt, pool);
 
     std::vector<std::shared_ptr<ml::DecodeScheduler::Ticket>> tickets;
     for (const auto& src : srcs) tickets.push_back(scheduler.submit(src, 64));
@@ -959,8 +962,8 @@ TEST_F(DeterminismTest, SchedulerSurvivesPoisonedMidDecodeStep) {
     // race-tolerant (exactly one ticket fails, survivors are bit-identical).
     fault::ScopedFaults faults("ml.session.step:once=3");
     ml::DecodeScheduler::Options opt;
-    opt.threads = threads;
-    ml::DecodeScheduler scheduler(engine, opt);
+    par::ThreadPool pool(threads);
+    ml::DecodeScheduler scheduler(engine, opt, pool);
 
     std::vector<std::shared_ptr<ml::DecodeScheduler::Ticket>> tickets;
     for (const auto& src : srcs) tickets.push_back(scheduler.submit(src, 64));
