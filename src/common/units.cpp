@@ -159,23 +159,17 @@ std::optional<double> parse_si(std::string_view text, std::string_view unit) {
   std::string_view rest = text.substr(i);
   double mult = 1.0;
   if (!rest.empty()) {
-    if (rest.size() != 1) {
-      // When no explicit unit was requested, allow a prefix followed by a
-      // free-form unit (e.g. "2.5mS" with unit="").
-      if (unit.empty()) {
-        if (auto p = si_prefix_value(rest.front())) {
-          mult = *p;
-          return value * mult;
-        }
-        return std::nullopt;
-      }
-      return std::nullopt;
-    }
+    // A single prefix character, or — when no explicit unit was requested —
+    // a prefix followed by a free-form unit (e.g. "2.5mS" with unit="").
+    if (rest.size() != 1 && !unit.empty()) return std::nullopt;
     auto p = si_prefix_value(rest.front());
     if (!p) return std::nullopt;
     mult = *p;
   }
-  return value * mult;
+  // strtod overflows to inf ("1e999"), and so can the prefix ("1e308G").
+  const double result = value * mult;
+  if (!std::isfinite(result)) return std::nullopt;
+  return result;
 }
 
 }  // namespace ota

@@ -132,6 +132,7 @@ SizingOutcome SizingCopilot::size(const Specs& target,
       }
       out.predicted = builder_.parse_decoder(predicted_text);
       // Stage III: parameters -> widths via the LUTs.
+      STAT_REGION("core.copilot.stage3_widths");
       widths = widths_from_params(topo_, tech_, luts_, out.predicted, widths);
     } else {
       // Constant-density refinement: scale every width by the largest

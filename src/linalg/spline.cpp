@@ -1,98 +1,137 @@
 #include "linalg/spline.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace ota::linalg {
 
-CubicSpline1D::CubicSpline1D(std::vector<double> x, std::vector<double> y)
-    : x_(std::move(x)), y_(std::move(y)) {
-  const size_t n = x_.size();
-  if (n < 2) throw InvalidArgument("CubicSpline1D: need at least two points");
-  if (y_.size() != n) throw InvalidArgument("CubicSpline1D: x/y size mismatch");
-  for (size_t i = 1; i < n; ++i) {
-    if (!(x_[i] > x_[i - 1])) {
-      throw InvalidArgument("CubicSpline1D: x must be strictly increasing");
+namespace {
+
+// One knot segment of a spline, located once and shared by every value set
+// over the same knots: the segment index and the local weights.
+struct Segment {
+  Segment(const std::vector<double>& x, double t) {
+    // Rightmost segment whose left knot is <= t; clamp to valid segment range.
+    const auto it = std::upper_bound(x.begin(), x.end(), t);
+    i = it == x.begin() ? 0
+                        : std::min(static_cast<size_t>(it - x.begin()) - 1,
+                                   x.size() - 2);
+    h = x[i + 1] - x[i];
+    a = (x[i + 1] - t) / h;
+    b = (t - x[i]) / h;
+  }
+
+  // Spline value from knot values y and second derivatives m.
+  double value(std::span<const double> y, std::span<const double> m) const {
+    return a * y[i] + b * y[i + 1] +
+           ((a * a * a - a) * m[i] + (b * b * b - b) * m[i + 1]) * h * h / 6.0;
+  }
+
+  size_t i;
+  double h, a, b;
+};
+
+// Row i of a row-major grid.
+template <typename M>
+auto row(M& z, size_t i) {
+  return std::span(z.data()).subspan(i * z.cols(), z.cols());
+}
+
+}  // namespace
+
+SplineSweep::SplineSweep(const std::vector<double>& x) {
+  const size_t n = x.size();
+  if (n < 2) throw InvalidArgument("spline: need at least two knots");
+  h_.resize(n - 1);
+  for (size_t i = 0; i + 1 < n; ++i) {
+    if (!(x[i + 1] > x[i])) {
+      throw InvalidArgument("spline: knots must be strictly increasing");
     }
+    h_[i] = x[i + 1] - x[i];
   }
-
-  // Solve the tridiagonal system for natural boundary conditions (m_0 = m_{n-1}
-  // = 0) with the Thomas algorithm.
-  m_.assign(n, 0.0);
-  if (n == 2) return;  // linear interpolation; second derivatives stay zero
-
-  std::vector<double> h(n - 1);
-  for (size_t i = 0; i + 1 < n; ++i) h[i] = x_[i + 1] - x_[i];
-
-  std::vector<double> diag(n - 2), rhs(n - 2), upper(n - 2);
-  for (size_t i = 1; i + 1 < n; ++i) {
-    diag[i - 1] = 2.0 * (h[i - 1] + h[i]);
-    rhs[i - 1] = 6.0 * ((y_[i + 1] - y_[i]) / h[i] - (y_[i] - y_[i - 1]) / h[i - 1]);
-    upper[i - 1] = h[i];
-  }
-  // Forward sweep.
-  for (size_t i = 1; i < diag.size(); ++i) {
-    const double w = h[i] / diag[i - 1];
-    diag[i] -= w * upper[i - 1];
-    rhs[i] -= w * rhs[i - 1];
-  }
-  // Back substitution into the interior second derivatives.
-  for (size_t ii = diag.size(); ii-- > 0;) {
-    double acc = rhs[ii];
-    if (ii + 1 < diag.size()) acc -= upper[ii] * m_[ii + 2];
-    m_[ii + 1] = acc / diag[ii];
+  // Natural boundary conditions (m_0 = m_{n-1} = 0) leave the interior knots
+  // 1..n-2 as unknowns; eliminate the sub-diagonal top to bottom.
+  w_.assign(n, 0.0);
+  diag_.assign(n, 0.0);
+  for (size_t k = 1; k + 1 < n; ++k) {
+    diag_[k] = 2.0 * (h_[k - 1] + h_[k]);
+    if (k > 1) {
+      w_[k] = h_[k - 1] / diag_[k - 1];
+      diag_[k] -= w_[k] * h_[k - 1];
+    }
   }
 }
 
-size_t CubicSpline1D::segment(double x) const {
-  // Rightmost segment whose left knot is <= x; clamp to valid segment range.
-  auto it = std::upper_bound(x_.begin(), x_.end(), x);
-  if (it == x_.begin()) return 0;
-  size_t idx = static_cast<size_t>(it - x_.begin()) - 1;
-  return std::min(idx, x_.size() - 2);
+void SplineSweep::solve(std::span<const double> y, std::span<double> m) const {
+  const size_t n = h_.size() + 1;
+  m[0] = 0.0;
+  m[n - 1] = 0.0;
+  for (size_t k = 1; k + 1 < n; ++k) {
+    m[k] = 6.0 * ((y[k + 1] - y[k]) / h_[k] - (y[k] - y[k - 1]) / h_[k - 1]);
+  }
+  // Forward sweep, then back substitution into the interior moments.
+  for (size_t k = 2; k + 1 < n; ++k) m[k] -= w_[k] * m[k - 1];
+  for (size_t k = n - 1; k-- > 1;) {
+    if (k + 2 < n) m[k] -= h_[k] * m[k + 1];
+    m[k] /= diag_[k];
+  }
+}
+
+CubicSpline1D::CubicSpline1D(std::vector<double> x, std::vector<double> y)
+    : x_(std::move(x)), y_(std::move(y)) {
+  if (y_.size() != x_.size()) {
+    throw InvalidArgument("CubicSpline1D: x/y size mismatch");
+  }
+  const SplineSweep sweep(x_);
+  m_.resize(x_.size());
+  sweep.solve(y_, m_);
 }
 
 double CubicSpline1D::operator()(double x) const {
   if (x_.empty()) throw InternalError("CubicSpline1D: evaluating empty spline");
-  const size_t i = segment(x);
-  const double h = x_[i + 1] - x_[i];
-  const double a = (x_[i + 1] - x) / h;
-  const double b = (x - x_[i]) / h;
-  return a * y_[i] + b * y_[i + 1] +
-         ((a * a * a - a) * m_[i] + (b * b * b - b) * m_[i + 1]) * h * h / 6.0;
+  return Segment(x_, x).value(y_, m_);
 }
 
 double CubicSpline1D::derivative(double x) const {
   if (x_.empty()) throw InternalError("CubicSpline1D: evaluating empty spline");
-  const size_t i = segment(x);
-  const double h = x_[i + 1] - x_[i];
-  const double a = (x_[i + 1] - x) / h;
-  const double b = (x - x_[i]) / h;
-  return (y_[i + 1] - y_[i]) / h +
-         ((3.0 * b * b - 1.0) * m_[i + 1] - (3.0 * a * a - 1.0) * m_[i]) * h / 6.0;
+  const Segment s(x_, x);
+  const size_t i = s.i;
+  return (y_[i + 1] - y_[i]) / s.h +
+         ((3.0 * s.b * s.b - 1.0) * m_[i + 1] - (3.0 * s.a * s.a - 1.0) * m_[i]) *
+             s.h / 6.0;
 }
 
 BicubicSpline::BicubicSpline(std::vector<double> x, std::vector<double> y,
                              Matrix<double> z)
-    : x_(std::move(x)), y_(std::move(y)) {
-  if (z.rows() != x_.size() || z.cols() != y_.size()) {
+    : x_(std::move(x)), y_(std::move(y)), x_sweep_(x_), z_(std::move(z)) {
+  if (z_.rows() != x_.size() || z_.cols() != y_.size()) {
     throw InvalidArgument("BicubicSpline: grid size mismatch");
   }
-  row_splines_.reserve(x_.size());
+  const SplineSweep y_sweep(y_);
+  zm_.reset(z_.rows(), z_.cols());
   for (size_t i = 0; i < x_.size(); ++i) {
-    std::vector<double> row(y_.size());
-    for (size_t j = 0; j < y_.size(); ++j) row[j] = z(i, j);
-    row_splines_.emplace_back(y_, std::move(row));
+    y_sweep.solve(row(z_, i), row(zm_, i));
   }
 }
 
-double BicubicSpline::operator()(double x, double y) const {
+BicubicSpline::Slice BicubicSpline::slice(double y) const {
   if (x_.empty()) throw InternalError("BicubicSpline: evaluating empty spline");
-  x = std::clamp(x, x_.front(), x_.back());
-  y = std::clamp(y, y_.front(), y_.back());
-  std::vector<double> column(x_.size());
-  for (size_t i = 0; i < x_.size(); ++i) column[i] = row_splines_[i](y);
-  return CubicSpline1D(x_, std::move(column))(x);
+  const size_t n = x_.size();
+  const Segment at_y(y_, std::clamp(y, y_.front(), y_.back()));
+  Slice s;
+  s.spline_ = this;
+  s.zm_.resize(2 * n);
+  const std::span<double> column = std::span(s.zm_).first(n);
+  for (size_t i = 0; i < n; ++i) column[i] = at_y.value(row(z_, i), row(zm_, i));
+  x_sweep_.solve(column, std::span(s.zm_).subspan(n));
+  return s;
+}
+
+double BicubicSpline::Slice::operator()(double x) const {
+  if (!spline_) throw InternalError("BicubicSpline::Slice: evaluating empty slice");
+  const std::vector<double>& knots = spline_->x_;
+  const size_t n = knots.size();
+  return Segment(knots, std::clamp(x, knots.front(), knots.back()))
+      .value(std::span(zm_).first(n), std::span(zm_).subspan(n));
 }
 
 }  // namespace ota::linalg

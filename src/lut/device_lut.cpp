@@ -7,6 +7,17 @@
 
 namespace ota::lut {
 
+namespace {
+
+// LutEntry and device-model fields in Quantity bit order.
+constexpr double LutEntry::*kEntryField[kNumQuantities] = {
+    &LutEntry::id, &LutEntry::gm, &LutEntry::gds, &LutEntry::cds, &LutEntry::cgs};
+constexpr double device::SmallSignal::*kModelField[kNumQuantities] = {
+    &device::SmallSignal::id, &device::SmallSignal::gm, &device::SmallSignal::gds,
+    &device::SmallSignal::cds, &device::SmallSignal::cgs};
+
+}  // namespace
+
 DeviceLut::DeviceLut(const device::MosModel& model, const LutOptions& opt)
     : opt_(opt) {
   if (opt.v_step <= 0 || opt.v_max <= opt.v_min) {
@@ -20,66 +31,72 @@ DeviceLut::DeviceLut(const device::MosModel& model, const LutOptions& opt)
   }
   vds_ = vgs_;
 
-  const size_t n = vgs_.size(), m = vds_.size();
-  g_id_.reset(n, m);
-  g_gm_.reset(n, m);
-  g_gds_.reset(n, m);
-  g_cds_.reset(n, m);
-  g_cgs_.reset(n, m);
-
   // Nested DC sweep at the reference width; store per-unit-width values.
+  const size_t n = vgs_.size(), m = vds_.size();
+  std::array<linalg::MatrixD, kNumQuantities> grid;
+  for (auto& g : grid) g.reset(n, m);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < m; ++j) {
       const device::SmallSignal ss =
           model.evaluate(vgs_[i], vds_[j], opt.wref, opt.l);
-      g_id_(i, j) = ss.id / opt.wref;
-      g_gm_(i, j) = ss.gm / opt.wref;
-      g_gds_(i, j) = ss.gds / opt.wref;
-      g_cds_(i, j) = ss.cds / opt.wref;
-      g_cgs_(i, j) = ss.cgs / opt.wref;
+      for (size_t q = 0; q < kNumQuantities; ++q) {
+        grid[q](i, j) = ss.*kModelField[q] / opt.wref;
+      }
     }
   }
+  for (size_t q = 0; q < kNumQuantities; ++q) {
+    s_[q] = linalg::BicubicSpline(vgs_, vds_, std::move(grid[q]));
+  }
+}
 
-  s_id_ = linalg::BicubicSpline(vgs_, vds_, g_id_);
-  s_gm_ = linalg::BicubicSpline(vgs_, vds_, g_gm_);
-  s_gds_ = linalg::BicubicSpline(vgs_, vds_, g_gds_);
-  s_cds_ = linalg::BicubicSpline(vgs_, vds_, g_cds_);
-  s_cgs_ = linalg::BicubicSpline(vgs_, vds_, g_cgs_);
+VdsSlice DeviceLut::slice(double vds, unsigned quantities) const {
+  VdsSlice s;
+  s.vds_ = vds;
+  s.quantities_ = quantities & kAllQuantities;
+  for (size_t q = 0; q < kNumQuantities; ++q) {
+    if (s.quantities_ & (1u << q)) s.q_[q] = s_[q].slice(vds);
+  }
+  return s;
+}
+
+LutEntry VdsSlice::at(double vgs) const {
+  LutEntry e;
+  for (size_t q = 0; q < kNumQuantities; ++q) {
+    if (quantities_ & (1u << q)) e.*kEntryField[q] = q_[q](vgs);
+  }
+  return e;
 }
 
 LutEntry DeviceLut::lookup(double vgs, double vds) const {
-  LutEntry e;
-  e.id = s_id_(vgs, vds);
-  e.gm = s_gm_(vgs, vds);
-  e.gds = s_gds_(vgs, vds);
-  e.cds = s_cds_(vgs, vds);
-  e.cgs = s_cgs_(vgs, vds);
-  return e;
+  return slice(vds).at(vgs);
 }
 
 LutEntry DeviceLut::grid_entry(size_t i_vgs, size_t i_vds) const {
   LutEntry e;
-  e.id = g_id_(i_vgs, i_vds);
-  e.gm = g_gm_(i_vgs, i_vds);
-  e.gds = g_gds_(i_vgs, i_vds);
-  e.cds = g_cds_(i_vgs, i_vds);
-  e.cgs = g_cgs_(i_vgs, i_vds);
+  for (size_t q = 0; q < kNumQuantities; ++q) {
+    e.*kEntryField[q] = s_[q].samples()(i_vgs, i_vds);
+  }
   return e;
 }
 
 std::pair<double, double> DeviceLut::gmid_range(double vds) const {
+  return gmid_range(slice(vds, kGm | kId));
+}
+
+std::pair<double, double> DeviceLut::gmid_range(const VdsSlice& s) const {
   // gm/Id decreases with Vgs, so the extremes sit at the grid ends.  Guard
   // against the near-zero current at the lowest Vgs with a floor.
-  const LutEntry lo = lookup(vgs_.front(), vds);
-  const LutEntry hi = lookup(vgs_.back(), vds);
+  const LutEntry lo = s.at(vgs_.front());
+  const LutEntry hi = s.at(vgs_.back());
   const double max_gmid = lo.id > 0 ? lo.gm / lo.id : 0.0;
   const double min_gmid = hi.id > 0 ? hi.gm / hi.id : 0.0;
   return {min_gmid, max_gmid};
 }
 
 std::optional<double> DeviceLut::find_vgs_for_gmid(double gmid, double vds) const {
-  if (gmid <= 0) return std::nullopt;
-  const auto [lo_gmid, hi_gmid] = gmid_range(vds);
+  if (!(gmid > 0)) return std::nullopt;  // also rejects NaN
+  const VdsSlice s = slice(vds, kGm | kId);
+  const auto [lo_gmid, hi_gmid] = gmid_range(s);
   if (gmid < lo_gmid * (1 - 1e-9) || gmid > hi_gmid * (1 + 1e-9)) {
     return std::nullopt;
   }
@@ -87,7 +104,7 @@ std::optional<double> DeviceLut::find_vgs_for_gmid(double gmid, double vds) cons
   double lo = vgs_.front(), hi = vgs_.back();
   for (int it = 0; it < 100; ++it) {
     const double mid = 0.5 * (lo + hi);
-    const LutEntry e = lookup(mid, vds);
+    const LutEntry e = s.at(mid);
     const double g = e.id > 0 ? e.gm / e.id : 1e30;
     if (g > gmid) {
       lo = mid;  // too weak: move toward stronger inversion

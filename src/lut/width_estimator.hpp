@@ -9,6 +9,13 @@
 // candidates agree.  The scan fallback covers devices whose Id (or gm) is not
 // part of the predicted sequence (e.g. a tail device whose gm does not appear
 // in the differential DP-SFG).
+//
+// Both estimators read the LUT through VdsSlices.  Each call builds its
+// vds_scan_points-point grid of slices once, for just the quantities the
+// prediction carries, so every inner Vds scan only evaluates slices, and the
+// gm/Id bisection reads one (gm, Id) slice.  The widths are bit-identical to
+// per-point DeviceLut::lookup calls (pinned by test_width_estimator against
+// a frozen copy of that per-point path).
 #pragma once
 
 #include <optional>
@@ -31,7 +38,7 @@ struct WidthEstimatorOptions {
   double alpha = 1e-4;       ///< paper's empirically chosen Vds step factor
   double epsilon = 1e-9;     ///< cost-change convergence tolerance
   int max_iterations = 60;   ///< safety bound on the outer loop
-  int vds_scan_points = 121; ///< inner cost minimization grid density
+  int vds_scan_points = 121; ///< inner cost minimization grid density (>= 2)
 };
 
 struct WidthEstimate {
@@ -42,9 +49,10 @@ struct WidthEstimate {
   int iterations = 0;
 };
 
-/// Paper Algorithm 1.  Requires gm and id (for the gm/Id conversion); throws
-/// InvalidArgument otherwise.  Returns nullopt when the requested gm/Id is
-/// outside the device's achievable range.
+/// Paper Algorithm 1.  Requires positive gm and id (for the gm/Id
+/// conversion) and vds_scan_points >= 2; throws InvalidArgument otherwise.
+/// Returns nullopt when the requested gm/Id is outside the device's
+/// achievable range.
 std::optional<WidthEstimate> estimate_width(const DeviceLut& lut,
                                             const PredictedParams& p,
                                             double vdd,
@@ -52,7 +60,8 @@ std::optional<WidthEstimate> estimate_width(const DeviceLut& lut,
 
 /// Fallback: joint scan over the (Vgs, Vds) grid minimizing the pairwise
 /// disagreement of the candidate widths from whichever parameters are
-/// present (needs at least two).  Used when Id or gm is unavailable.
+/// present (needs at least two, and vds_scan_points >= 2; throws
+/// InvalidArgument otherwise).  Used when Id or gm is unavailable.
 std::optional<WidthEstimate> estimate_width_scan(const DeviceLut& lut,
                                                  const PredictedParams& p,
                                                  const WidthEstimatorOptions& opt = {});

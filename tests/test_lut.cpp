@@ -99,6 +99,8 @@ TEST_F(LutTest, FindVgsRejectsOutOfRange) {
   EXPECT_FALSE(lut.find_vgs_for_gmid(100.0, 0.6).has_value());
   EXPECT_FALSE(lut.find_vgs_for_gmid(0.01, 0.6).has_value());
   EXPECT_FALSE(lut.find_vgs_for_gmid(-5.0, 0.6).has_value());
+  // NaN fails every comparison, so it must be rejected, not bisected.
+  EXPECT_FALSE(lut.find_vgs_for_gmid(std::nan(""), 0.6).has_value());
 }
 
 TEST_F(LutTest, PmosLutBehavesLikeNmosLut) {

@@ -328,14 +328,24 @@ TEST_F(PipelineTest, CopilotStopsBeforeAnyWorkOnAFiredToken) {
   EXPECT_THROW((void)copilot.size(target, expired), Cancelled);
   EXPECT_TRUE(pred.requests().empty());
   const auto sites = stats::snapshot();
-  const auto verify = sites.find("core.copilot.stage4_verify");
-  EXPECT_TRUE(verify == sites.end() || verify->second.count == 0);
+  for (const char* site : {"core.copilot.stage3_widths", "core.copilot.stage4_verify"}) {
+    const auto it = sites.find(site);
+    EXPECT_TRUE(it == sites.end() || it->second.count == 0) << site;
+  }
 
   // The same copilot still sizes normally under a live token.
   CopilotOptions live;
   live.cancel = CancelToken(CancelToken::Clock::time_point::max());
   EXPECT_GT(copilot.size(target, live).spice_simulations, 0);
   EXPECT_FALSE(pred.requests().empty());
+  // Every Stage II prediction is followed by one timed Stage III.
+  const auto live_sites = stats::snapshot();
+  const auto stage2 = live_sites.find("core.copilot.stage2_predict");
+  const auto stage3 = live_sites.find("core.copilot.stage3_widths");
+  ASSERT_NE(stage2, live_sites.end());
+  ASSERT_NE(stage3, live_sites.end());
+  EXPECT_GT(stage3->second.count, 0u);
+  EXPECT_EQ(stage3->second.count, stage2->second.count);
 }
 
 TEST_F(PipelineTest, TargetsFromDesignsAreFeasibleRelaxations) {

@@ -71,6 +71,16 @@ TEST(SpiceFormat, RejectsMalformedCards) {
   EXPECT_THROW(parse_spice("M1 d g 0 nmos L=1u W=1u\n"), InvalidArgument);
 }
 
+TEST(SpiceFormat, RejectsValuesThatOverflowToInfinity) {
+  try {
+    (void)parse_spice("M1 d g 0 nmos W=1e999 L=180n\n");
+    FAIL() << "expected throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("bad w value"), std::string::npos)
+        << e.what();
+  }
+}
+
 class SpiceRoundTrip : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(SpiceRoundTrip, TopologyRoundTripsThroughDeck) {

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 
@@ -136,6 +138,39 @@ TEST(BicubicSpline, ClampsOutsideGrid) {
 TEST(BicubicSpline, GridMismatchThrows) {
   MatrixD z(2, 3);
   EXPECT_THROW(BicubicSpline({0.0, 1.0}, {0.0, 1.0}, z), InvalidArgument);
+}
+
+TEST(BicubicSpline, KnotsValidatedAtConstruction) {
+  const MatrixD z(2, 2);
+  EXPECT_THROW(BicubicSpline({1.0, 0.0}, {0.0, 1.0}, z), InvalidArgument);
+  EXPECT_THROW(BicubicSpline({0.0, 1.0}, {0.0, 0.0}, z), InvalidArgument);
+  EXPECT_THROW(BicubicSpline({0.0}, {0.0, 1.0}, MatrixD(1, 2)), InvalidArgument);
+  EXPECT_THROW((void)BicubicSpline::Slice()(0.5), InternalError);
+  EXPECT_THROW((void)BicubicSpline().slice(0.5), InternalError);
+}
+
+TEST(BicubicSpline, SliceMatchesPointEvaluationBitForBit) {
+  // The 21x21 LUT grid shape.  One slice per y serves every x, and must give
+  // the point evaluator's exact bits, inside the grid and clamped outside it.
+  std::vector<double> x, y;
+  for (int i = 0; i <= 20; ++i) x.push_back(0.06 * i);
+  y = x;
+  MatrixD z(x.size(), y.size());
+  for (size_t i = 0; i < x.size(); ++i)
+    for (size_t j = 0; j < y.size(); ++j)
+      z(i, j) = std::exp(3.0 * x[i]) * std::sin(2.0 * y[j] + x[i]);
+  BicubicSpline s(x, y, z);
+  size_t mismatches = 0;
+  for (double b = -0.25; b <= 1.45; b += 0.0131) {
+    const BicubicSpline::Slice at_b = s.slice(b);
+    for (double a = -0.25; a <= 1.45; a += 0.0173) {
+      mismatches += std::bit_cast<uint64_t>(at_b(a)) != std::bit_cast<uint64_t>(s(a, b));
+    }
+    for (double a : x) {
+      mismatches += std::bit_cast<uint64_t>(at_b(a)) != std::bit_cast<uint64_t>(s(a, b));
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 }  // namespace

@@ -71,6 +71,15 @@ TEST(ParseSi, Rejections) {
   EXPECT_FALSE(parse_si("mS", "S").has_value());     // no digits
 }
 
+TEST(ParseSi, RejectsNonFiniteValues) {
+  EXPECT_FALSE(parse_si("1e999S", "S").has_value());   // strtod overflows
+  EXPECT_FALSE(parse_si("-1e999S", "S").has_value());
+  EXPECT_FALSE(parse_si("1e308GS", "S").has_value());  // prefix overflows
+  EXPECT_FALSE(parse_si("1e308GS").has_value());       // free-form unit
+  EXPECT_FALSE(parse_si("1e999").has_value());
+  EXPECT_DOUBLE_EQ(*parse_si("1e299GS", "S"), 1e308);  // large but finite
+}
+
 TEST(ParseSi, ScientificNotationAccepted) {
   EXPECT_DOUBLE_EQ(*parse_si("1e-3S", "S"), 1e-3);
   EXPECT_DOUBLE_EQ(*parse_si("2.5e6V", "V"), 2.5e6);
