@@ -13,13 +13,16 @@
 // OTA_TRAIN_SMOKE=1 shrinks the corpus/model and sweeps {1, 4} only; the
 // Release CI job runs that mode.  Results are also written as JSON (path
 // from OTA_BENCH_JSON, default BENCH_train.json) so scripts/bench_snapshot.sh
-// can archive the perf trajectory.
+// can archive the perf trajectory.  The JSON also records the serial run's
+// GEMM call counts (ota::stats sites ml.gemm.{nn,nt,tn}): deterministic
+// work for a fixed corpus, which scripts/bench_diff.py pins exactly.
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "common.hpp"
+#include "common/stats.hpp"
 #include "core/dataset.hpp"
 #include "core/sequence_builder.hpp"
 #include "par/thread_pool.hpp"
@@ -86,12 +89,31 @@ int main() {
   std::vector<double> serial_train_loss, serial_val_loss;
   bool bit_identical = true;
 
+  // Every run carries the same (tiny) telemetry cost, so speedups stay fair.
+  const bool stats_were_enabled = stats::enabled();
+  stats::enable();
+  const auto region_calls = [](const std::map<std::string, stats::SiteTotals>& s,
+                               const char* site) -> uint64_t {
+    const auto it = s.find(site);
+    return it == s.end() ? 0 : it->second.count;
+  };
+  uint64_t gemm_calls[3] = {0, 0, 0};  // nn, nt, tn of the serial run
+  const char* gemm_sites[3] = {"ml.gemm.nn", "ml.gemm.nt", "ml.gemm.tn"};
+
   std::printf("%8s %10s %14s %9s  %s\n", "threads", "seconds", "examples/s",
               "speedup", "trajectory");
   for (int t : sweep) {
     par::ThreadPool pool(t);
     core::SizingModel model;
+    const auto before = stats::snapshot();
     const core::TrainHistory hist = model.train(pairs, topt, pool);
+    if (runs.empty()) {
+      const auto after = stats::snapshot();
+      for (int g = 0; g < 3; ++g) {
+        gemm_calls[g] = region_calls(after, gemm_sites[g]) -
+                        region_calls(before, gemm_sites[g]);
+      }
+    }
 
     Run run;
     run.threads = t;
@@ -123,6 +145,11 @@ int main() {
                              : (identical ? "bit-identical" : "DIVERGED"));
     runs.push_back(run);
   }
+  if (!stats_were_enabled) stats::disable();
+  std::printf("serial GEMM calls: nn %llu, nt %llu, tn %llu\n",
+              static_cast<unsigned long long>(gemm_calls[0]),
+              static_cast<unsigned long long>(gemm_calls[1]),
+              static_cast<unsigned long long>(gemm_calls[2]));
 
   std::vector<benchsupport::JsonObject> run_rows;
   for (const auto& r : runs) {
@@ -141,6 +168,9 @@ int main() {
                        .num("epochs", topt.epochs)
                        .num("batch_size", topt.batch_size)
                        .boolean("bit_identical", bit_identical)
+                       .num("gemm_nn_calls", gemm_calls[0])
+                       .num("gemm_nt_calls", gemm_calls[1])
+                       .num("gemm_tn_calls", gemm_calls[2])
                        .array("runs", std::move(run_rows)));
 
   if (!bit_identical) {

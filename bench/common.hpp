@@ -254,7 +254,15 @@ struct TopologyContext {
     topt.verbose = true;
     const core::TrainHistory hist = model.train(pairs, topt);
     training_seconds = hist.seconds;
-    model.save(prefix);
+    // The cache is best-effort: an unwritable cache directory costs a
+    // retrain next run, not this run.
+    try {
+      model.save(prefix);
+    } catch (const Error& e) {
+      std::fprintf(stderr, "[bench] not caching model %s (%s)\n",
+                   prefix.c_str(), e.what());
+      return;
+    }
     std::ofstream meta(prefix + ".meta");
     meta << training_seconds << "\n";
   }

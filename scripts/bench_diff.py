@@ -11,7 +11,10 @@ Field policy (what "worse" means):
 * Config fields ("scale", "smoke", "bench", and the per-bench STRICT_KEYS
   accounting/shape numbers) must match exactly: a drifted config silently
   invalidates every comparison, so the diff refuses to compare apples to
-  pears and tells you to refresh the baselines instead.
+  pears and tells you to refresh the baselines instead.  STRICT_KEYS also
+  holds deterministic work counters (training GEMM calls): they do not
+  depend on the host, so any change is real and must be re-baselined on
+  purpose.
 * In-process ratio fields (*speedup*, decode_occupancy) gate throughput:
   fresh >= baseline * (1 - tolerance).  Both sides of a ratio come from the
   same run, so host speed cancels out of it.  The default tolerance is
@@ -42,11 +45,12 @@ import tempfile
 
 BENCHES = ["train", "ac", "campaign", "infer", "fault"]
 
-# Numeric fields that must match the baseline exactly: workload shape and
-# exactly-once accounting.  A mismatch means config drift or an accounting
-# bug, not noise.
+# Numeric fields that must match the baseline exactly: workload shape,
+# exactly-once accounting and deterministic work counters.  A mismatch means
+# config drift, an accounting bug or changed work, not noise.
 STRICT_KEYS = {
-    "train_runtime": ["corpus_pairs", "epochs", "batch_size"],
+    "train_runtime": ["corpus_pairs", "epochs", "batch_size",
+                      "gemm_nn_calls", "gemm_nt_calls", "gemm_tn_calls"],
     "ac_sweep": ["points", "system_size"],
     "campaign_server": ["campaigns", "workers", "overload_attempts",
                         "overload_queue_cap"],
@@ -212,12 +216,14 @@ def run_diff(args):
 
 def self_test():
     """Proves the gate actually gates: a clean pair passes, a regressed ratio
-    fails, a flipped correctness bool fails, drifted config fails, and a
-    missing fresh snapshot fails; a drop in an absolute rate alone passes."""
+    fails, a flipped correctness bool fails, drifted config or a changed work
+    counter fails, and a missing fresh snapshot fails; a drop in an absolute
+    rate alone passes."""
     baseline = {
         "bench": "train_runtime", "scale": "small", "smoke": True,
         "corpus_pairs": 48, "epochs": 2, "batch_size": 16,
         "bit_identical": True,
+        "gemm_nn_calls": 9432, "gemm_nt_calls": 9036, "gemm_tn_calls": 8748,
         "runs": [
             {"threads": 1, "seconds": 10.0, "examples_per_sec": 100.0,
              "speedup": 1.0},
@@ -274,6 +280,9 @@ def self_test():
     ok &= run_case(
         "strict accounting drift fails",
         lambda c: c.update(corpus_pairs=47), True)
+    ok &= run_case(
+        "changed work counter fails",
+        lambda c: c.update(gemm_tn_calls=8749), True)
     ok &= run_case(
         "config (scale) drift fails",
         lambda c: c.update(scale="paper"), True)

@@ -1,5 +1,6 @@
 #include "common/fault.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -90,9 +91,13 @@ uint64_t parse_u64(std::string_view entry, std::string_view text,
                    const std::string& what) {
   if (text.empty()) bad_spec(entry, what + " is empty");
   uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') bad_spec(entry, what + " must be a positive integer");
-    value = value * 10 + static_cast<uint64_t>(c - '0');
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    bad_spec(entry, what + " is out of range");
+  }
+  if (ec != std::errc() || ptr != end) {
+    bad_spec(entry, what + " must be a positive integer");
   }
   return value;
 }
@@ -127,8 +132,8 @@ void parse_entry(std::string_view raw, Spec& spec) {
     char* end = nullptr;
     const std::string num(arg);
     rule.p = std::strtod(num.c_str(), &end);
-    if (num.empty() || end != num.c_str() + num.size() || rule.p < 0.0 ||
-        rule.p > 1.0) {
+    if (num.empty() || end != num.c_str() + num.size() ||
+        !(rule.p >= 0.0 && rule.p <= 1.0)) {
       bad_spec(entry, "prob=P needs P in [0, 1]");
     }
   } else {

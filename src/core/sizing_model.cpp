@@ -227,23 +227,25 @@ const ml::InferenceEngine& SizingModel::engine() const {
 
 void SizingModel::save(const std::string& prefix) const {
   if (!model_) throw InvalidArgument("SizingModel::save: not trained");
-  {
-    std::ofstream bpe(prefix + ".bpe");
-    bpe << tokenizer_.serialize();
+  std::ofstream bpe(prefix + ".bpe");
+  bpe << tokenizer_.serialize();
+  if (!bpe.flush()) {
+    throw Error("SizingModel::save: cannot write " + prefix + ".bpe");
   }
-  {
-    std::ofstream mdl(prefix + ".model", std::ios::binary);
-    const auto& cfg = model_->config();
-    mdl.write(kModelMagicV2, sizeof kModelMagicV2);
-    write_field(mdl, cfg.vocab_size);
-    write_field(mdl, cfg.d_model);
-    write_field(mdl, cfg.n_heads);
-    write_field(mdl, cfg.n_layers);
-    write_field(mdl, cfg.d_ff);
-    write_field(mdl, cfg.max_len);
-    write_field(mdl, cfg.dropout);
-    write_field(mdl, cfg.seed);
-    model_->save(mdl);
+  std::ofstream mdl(prefix + ".model", std::ios::binary);
+  const auto& cfg = model_->config();
+  mdl.write(kModelMagicV2, sizeof kModelMagicV2);
+  write_field(mdl, cfg.vocab_size);
+  write_field(mdl, cfg.d_model);
+  write_field(mdl, cfg.n_heads);
+  write_field(mdl, cfg.n_layers);
+  write_field(mdl, cfg.d_ff);
+  write_field(mdl, cfg.max_len);
+  write_field(mdl, cfg.dropout);
+  write_field(mdl, cfg.seed);
+  model_->save(mdl);
+  if (!mdl.flush()) {
+    throw Error("SizingModel::save: cannot write " + prefix + ".model");
   }
 }
 

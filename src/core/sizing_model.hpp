@@ -78,7 +78,8 @@ class SizingModel : public Predictor {
 
   /// Persists tokenizer + weights to `<prefix>.bpe` / `<prefix>.model`.
   /// The model file carries an explicit field-by-field config header
-  /// (version tag "otasmdl2").
+  /// (version tag "otasmdl2") ahead of the Transformer weight stream.
+  /// Throws ota::Error naming the file when either cannot be written.
   void save(const std::string& prefix) const;
   /// Loads a previously saved model; returns false when files are missing.
   /// Throws InvalidArgument for any other model file, and for a header that

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <string>
 #include <type_traits>
 
@@ -101,7 +100,8 @@ void softmax_row(T* s, int64_t n) {
 /// In-place row layer-norm, same statistics and output expression as
 /// layer_norm in ops.cpp (eps matches its default).
 template <typename T>
-void layer_norm_row(T* x, int64_t n, const LayerNormWeights<T>& w) {
+void layer_norm_row(T* x, int64_t n,
+                    const LayerNormWeights<BasicTensor<T>>& w) {
   T mu = T(0);
   for (int64_t c = 0; c < n; ++c) mu += x[c];
   mu /= static_cast<T>(n);
@@ -155,7 +155,7 @@ void attend_row(const T* q, const T* keys, const T* values, int64_t lk,
 template <typename T>
 BasicTensor<T> attention_full(const BasicTensor<T>& q_src,
                               const BasicTensor<T>& kv_src,
-                              const FusedAttentionWeights<T>& w,
+                              const AttentionWeights<BasicTensor<T>>& w,
                               int64_t d_head) {
   const int64_t lq = q_src.rows(), lk = kv_src.rows(), d_model = w.wq.cols();
   BasicTensor<T> q, k, v;
@@ -177,7 +177,8 @@ BasicTensor<T> attention_full(const BasicTensor<T>& q_src,
 
 /// Position-wise FFN over all rows: relu(x W_in + b_in) W_out + b_out.
 template <typename T>
-BasicTensor<T> ffn_full(const BasicTensor<T>& x, const FeedForwardWeights<T>& w) {
+BasicTensor<T> ffn_full(const BasicTensor<T>& x,
+                        const FeedForwardWeights<BasicTensor<T>>& w) {
   BasicTensor<T> h;
   matmul_into(x, w.w_in, h);
   for (int64_t r = 0; r < h.rows(); ++r) add_bias_row(&h(r, 0), w.b_in);
@@ -192,7 +193,7 @@ BasicTensor<T> ffn_full(const BasicTensor<T>& x, const FeedForwardWeights<T>& w)
 /// norm / FFN / norm.
 template <typename T>
 BasicTensor<T> encode_impl(const std::vector<TokenId>& src,
-                           const ModelWeights<T>& w,
+                           const TierWeights<T>& w,
                            const TransformerConfig& cfg, int64_t d_head) {
   if (src.empty()) {
     throw InvalidArgument("InferenceEngine::encode: empty input");
@@ -216,7 +217,7 @@ BasicTensor<T> encode_impl(const std::vector<TokenId>& src,
       x(i, c) = w.src_embed(id, c) * sqrt_d + w.pos(i, c);
     }
   }
-  for (const EncoderLayerWeights<T>& layer : w.encoder) {
+  for (const EncoderLayerWeights<BasicTensor<T>>& layer : w.encoder) {
     const BasicTensor<T> attn = attention_full(x, x, layer.self, d_head);
     for (int64_t i = 0; i < x.size(); ++i) x.at(i) += attn.at(i);
     for (int64_t r = 0; r < len; ++r) {
@@ -231,109 +232,20 @@ BasicTensor<T> encode_impl(const std::vector<TokenId>& src,
   return x;
 }
 
-/// Weight lookup by registry name, so the snapshot survives reordering of
-/// the registry as long as names stay stable.
-class WeightMap {
- public:
-  explicit WeightMap(const Transformer& model) {
-    const auto& params = model.parameters();
-    const auto& names = model.parameter_names();
-    for (size_t i = 0; i < params.size(); ++i) {
-      by_name_[names[i]] = &params[i]->value;
-    }
-  }
-
-  const Tensor& get(const std::string& name) const {
-    auto it = by_name_.find(name);
-    if (it == by_name_.end()) {
-      throw InvalidArgument("InferenceEngine: missing parameter '" + name +
-                            "' in the transformer registry");
-    }
-    return *it->second;
-  }
-
-  /// The named weight converted to a tier's scalar.
-  template <typename T>
-  BasicTensor<T> copy(const std::string& name) const {
-    return BasicTensor<T>::from(get(name));
-  }
-
- private:
-  std::map<std::string, const Tensor*> by_name_;
-};
-
-/// Concatenates the per-head (d_model, d_head) projections of `site` into one
-/// (d_model, d_model) matrix, head h occupying columns [h*d_head, ...).
+/// One tier's weights: a field-by-field copy of the model's layout, each
+/// weight converted to the tier's scalar (float32 rounds to nearest).
 template <typename T>
-BasicTensor<T> fuse_heads(const WeightMap& w, const std::string& site,
-                          const char* which, int64_t d_model, int64_t d_head) {
-  const int64_t n_heads = d_model / d_head;
-  BasicTensor<T> fused(d_model, d_model);
-  for (int64_t h = 0; h < n_heads; ++h) {
-    const Tensor& head =
-        w.get(site + ".h" + std::to_string(h) + "." + which);
-    if (head.rows() != d_model || head.cols() != d_head) {
-      throw InvalidArgument("InferenceEngine: unexpected head shape at " + site);
-    }
-    for (int64_t r = 0; r < d_model; ++r) {
-      for (int64_t c = 0; c < d_head; ++c) {
-        fused(r, h * d_head + c) = static_cast<T>(head(r, c));
-      }
-    }
-  }
-  return fused;
-}
-
-template <typename T>
-FusedAttentionWeights<T> snapshot_attention(const WeightMap& w,
-                                            const std::string& site,
-                                            int64_t d_model, int64_t d_head) {
-  return {fuse_heads<T>(w, site, "wq", d_model, d_head),
-          fuse_heads<T>(w, site, "wk", d_model, d_head),
-          fuse_heads<T>(w, site, "wv", d_model, d_head),
-          w.copy<T>(site + ".wo"), w.copy<T>(site + ".bo")};
-}
-
-template <typename T>
-FeedForwardWeights<T> snapshot_ffn(const WeightMap& w, const std::string& site) {
-  return {w.copy<T>(site + ".in.w"), w.copy<T>(site + ".in.b"),
-          w.copy<T>(site + ".out.w"), w.copy<T>(site + ".out.b")};
-}
-
-template <typename T>
-LayerNormWeights<T> snapshot_norm(const WeightMap& w, const std::string& site) {
-  return {w.copy<T>(site + ".gamma"), w.copy<T>(site + ".beta")};
-}
-
-/// One tier's weight snapshot, taken straight from the double registry
-/// (float32 rounds each weight to nearest after the head fusing, so both
-/// tiers share one layout).
-template <typename T>
-ModelWeights<T> snapshot(const Transformer& model, int64_t d_head) {
-  const TransformerConfig& cfg = model.config();
-  const WeightMap w(model);
-  ModelWeights<T> m;
-  m.src_embed = w.copy<T>("src_embed");
-  m.tgt_embed = w.copy<T>("tgt_embed");
-  m.pos = BasicTensor<T>::from(model.positional().table());
-  m.out_w = w.copy<T>("out.w");
-  m.out_b = w.copy<T>("out.b");
-  for (int64_t l = 0; l < cfg.n_layers; ++l) {
-    const std::string enc = "enc" + std::to_string(l);
-    m.encoder.push_back(
-        {snapshot_attention<T>(w, enc + ".self", cfg.d_model, d_head),
-         snapshot_ffn<T>(w, enc + ".ffn"), snapshot_norm<T>(w, enc + ".norm1"),
-         snapshot_norm<T>(w, enc + ".norm2")});
-
-    const std::string dec = "dec" + std::to_string(l);
-    m.decoder.push_back(
-        {snapshot_attention<T>(w, dec + ".self", cfg.d_model, d_head),
-         snapshot_attention<T>(w, dec + ".cross", cfg.d_model, d_head),
-         snapshot_ffn<T>(w, dec + ".ffn"), snapshot_norm<T>(w, dec + ".norm1"),
-         snapshot_norm<T>(w, dec + ".norm2"),
-         snapshot_norm<T>(w, dec + ".norm3")});
-  }
-  return m;
+TierWeights<T> snapshot(const Transformer& model) {
+  TierWeights<T> w;
+  w.encoder.resize(model.weights().encoder.size());
+  w.decoder.resize(model.weights().decoder.size());
+  for_each_weight(
+      [](BasicTensor<T>& dst, const Var& src) {
+        dst = BasicTensor<T>::from(src->value);
+      },
+      w, model.weights());
+  w.pos = BasicTensor<T>::from(model.positional().table());
+  return w;
 }
 
 }  // namespace
@@ -341,8 +253,8 @@ ModelWeights<T> snapshot(const Transformer& model, int64_t d_head) {
 InferenceEngine::InferenceEngine(const Transformer& model)
     : cfg_(model.config()),
       d_head_(cfg_.d_model / cfg_.n_heads),
-      f64_(snapshot<double>(model, d_head_)),
-      f32_(snapshot<float>(model, d_head_)) {}
+      f64_(snapshot<double>(model)),
+      f32_(snapshot<float>(model)) {}
 
 Tensor InferenceEngine::encode(const std::vector<TokenId>& src) const {
   return encode_impl(src, f64_, cfg_, d_head_);
@@ -367,7 +279,7 @@ InferenceEngine::Session::Session(const InferenceEngine& engine,
 }
 
 template <typename T>
-void InferenceEngine::Session::start(State<T>& s, const ModelWeights<T>& w,
+void InferenceEngine::Session::start(State<T>& s, const TierWeights<T>& w,
                                      const std::vector<TokenId>& src) {
   const size_t layers = w.decoder.size();
   const size_t d = static_cast<size_t>(eng_.cfg_.d_model);
@@ -410,7 +322,7 @@ const Tensor& InferenceEngine::Session::step(TokenId token) {
 }
 
 template <typename T>
-void InferenceEngine::Session::advance(State<T>& s, const ModelWeights<T>& w,
+void InferenceEngine::Session::advance(State<T>& s, const TierWeights<T>& w,
                                        TokenId token) {
   const int64_t d = eng_.cfg_.d_model;
   const T sqrt_d = std::sqrt(static_cast<T>(d));
@@ -425,7 +337,7 @@ void InferenceEngine::Session::advance(State<T>& s, const ModelWeights<T>& w,
   }
 
   for (size_t l = 0; l < w.decoder.size(); ++l) {
-    const DecoderLayerWeights<T>& layer = w.decoder[l];
+    const DecoderLayerWeights<BasicTensor<T>>& layer = w.decoder[l];
 
     // Masked self-attention: project this position's K/V once, append to the
     // cache, attend the query against every cached position.  The causal mask

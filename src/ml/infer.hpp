@@ -7,9 +7,9 @@
 // autograd graph each time.  InferenceEngine is the lean evaluation
 // representation compiled once from a trained model:
 //
-//  * weights are snapshotted into plain Tensors, with the per-head Q/K/V
-//    projections of each attention site fused into single d_model x d_model
-//    GEMMs (one matmul instead of 3*n_heads tiny ones);
+//  * compiling is a typed copy of the model's own weight layout
+//    (ml/layers.hpp) into plain tensors of each tier's scalar, so every
+//    attention site keeps its fused d_model x d_model Q/K/V projections;
 //  * encode runs once per request and the cross-attention K/V of every
 //    decoder layer are precomputed from the memory;
 //  * decoding is incremental through a per-layer KV cache, so each step is
@@ -20,15 +20,14 @@
 //
 // Numerical contract: the engine's greedy token output is IDENTICAL — token
 // for token, bit for bit — to Transformer::greedy_decode.  Every loop here
-// replicates the accumulation order of the reference ops, and fusing the
-// head projections keeps each output column's dot product unchanged because
-// GEMM columns are independent.  The engine's row kernels also skip
-// multipliers that are exactly zero, which the reference GEMM does not; a
-// zero product never changes a finite sum that starts at +0, and
-// tests/test_infer.cpp checks the logits bit for bit on trained models.
+// replicates the accumulation order of the reference ops over the same
+// fused projections.  The engine's row kernels also skip multipliers that
+// are exactly zero, which the reference GEMM does not; a zero product never
+// changes a finite sum that starts at +0, and tests/test_infer.cpp checks
+// the logits bit for bit on trained models.
 //
 // The float32 serving tier is the float instantiation of the same code: one
-// templated weight snapshot and one templated step body serve both tiers.
+// templated weight copy and one templated step body serve both tiers.
 #pragma once
 
 #include <memory>
@@ -46,56 +45,17 @@ namespace ota::ml {
 /// DecodeScheduler — so tie-breaking can never diverge between them.
 nlp::TokenId argmax_token(const Tensor& logits);
 
-/// One attention site with the head projections fused column-wise: column
-/// block [h*d_head, (h+1)*d_head) of wq/wk/wv is head h's projection.  The
-/// weight structs are templated on the scalar of the tier they serve.
+/// One tier's compiled weights: the model's own layout (ml/layers.hpp) in
+/// the tier's scalar, plus the positional table.
 template <typename T>
-struct FusedAttentionWeights {
-  BasicTensor<T> wq, wk, wv;  ///< (d_model, d_model)
-  BasicTensor<T> wo;          ///< (d_model, d_model)
-  BasicTensor<T> bo;          ///< (1, d_model)
-};
-
-template <typename T>
-struct FeedForwardWeights {
-  BasicTensor<T> w_in, b_in;    ///< (d_model, d_ff), (1, d_ff)
-  BasicTensor<T> w_out, b_out;  ///< (d_ff, d_model), (1, d_model)
-};
-
-template <typename T>
-struct LayerNormWeights {
-  BasicTensor<T> gamma, beta;  ///< (1, d_model)
-};
-
-template <typename T>
-struct EncoderLayerWeights {
-  FusedAttentionWeights<T> self;
-  FeedForwardWeights<T> ffn;
-  LayerNormWeights<T> norm1, norm2;
-};
-
-template <typename T>
-struct DecoderLayerWeights {
-  FusedAttentionWeights<T> self, cross;
-  FeedForwardWeights<T> ffn;
-  LayerNormWeights<T> norm1, norm2, norm3;
-};
-
-/// One tier's complete weight snapshot.
-template <typename T>
-struct ModelWeights {
-  BasicTensor<T> src_embed, tgt_embed;  ///< (vocab, d_model)
-  BasicTensor<T> pos;                   ///< (max_len, d_model) positions
-  std::vector<EncoderLayerWeights<T>> encoder;
-  std::vector<DecoderLayerWeights<T>> decoder;
-  BasicTensor<T> out_w;  ///< (d_model, vocab)
-  BasicTensor<T> out_b;  ///< (1, vocab)
+struct TierWeights : ModelWeights<BasicTensor<T>> {
+  BasicTensor<T> pos;  ///< (max_len, d_model) positions
 };
 
 class InferenceEngine {
  public:
-  /// Snapshots the model's weights once per tier — double (the reference)
-  /// and float32 — so both tiers are always available at decode time.  The
+  /// Copies the model's weights once per tier — double (the reference) and
+  /// float32 — so both tiers are always available at decode time.  The
   /// engine keeps no reference to the Transformer; retraining or mutating
   /// it does not affect the engine.
   explicit InferenceEngine(const Transformer& model);
@@ -171,10 +131,10 @@ class InferenceEngine {
     };
 
     template <typename T>
-    void start(State<T>& s, const ModelWeights<T>& w,
+    void start(State<T>& s, const TierWeights<T>& w,
                const std::vector<nlp::TokenId>& src);
     template <typename T>
-    void advance(State<T>& s, const ModelWeights<T>& w, nlp::TokenId token);
+    void advance(State<T>& s, const TierWeights<T>& w, nlp::TokenId token);
 
     const InferenceEngine& eng_;
     Precision precision_ = Precision::kDouble;
@@ -188,9 +148,9 @@ class InferenceEngine {
  private:
   TransformerConfig cfg_;
   int64_t d_head_ = 0;
-  ModelWeights<double> f64_;
-  /// Half the memory traffic per decode step on the same fused layout.
-  ModelWeights<float> f32_;
+  TierWeights<double> f64_;
+  /// Half the memory traffic per decode step on the same layout.
+  TierWeights<float> f32_;
 };
 
 }  // namespace ota::ml

@@ -4,20 +4,6 @@
 
 namespace ota::ml {
 
-Var ParameterRegistry::track(Var p, const std::string& name) {
-  params_.push_back(p);
-  names_.push_back(name);
-  return p;
-}
-
-Linear::Linear(int64_t in, int64_t out, Rng& rng, ParameterRegistry& reg,
-               const std::string& name) {
-  w_ = reg.track(parameter(Tensor::xavier(in, out, rng)), name + ".w");
-  b_ = reg.track(parameter(Tensor(1, out)), name + ".b");
-}
-
-Var Linear::forward(const Var& x) const { return add_bias(matmul(x, w_), b_); }
-
 PositionalEncoding::PositionalEncoding(int64_t max_len, int64_t d_model)
     : table_(max_len, d_model) {
   // PE(pos, 2i) = sin(pos / 10000^(2i/d)); PE(pos, 2i+1) = cos(...).
@@ -44,104 +30,111 @@ Var PositionalEncoding::forward(const Var& x) const {
   return add(x, constant(std::move(pos)));
 }
 
-MultiHeadAttention::MultiHeadAttention(int64_t d_model, int64_t n_heads,
-                                       Rng& rng, ParameterRegistry& reg,
-                                       const std::string& name) {
-  if (d_model % n_heads != 0) {
-    throw InvalidArgument("MultiHeadAttention: d_model must divide by heads");
+namespace {
+
+// Braced lists evaluate their elements in order, so every init below draws
+// from `rng` in field order.
+AttentionWeights<Var> init_attention(int64_t d_model, int64_t n_heads,
+                                     Rng& rng) {
+  if (n_heads <= 0 || d_model % n_heads != 0) {
+    throw InvalidArgument("init_attention: d_model must divide by heads");
   }
-  d_head_ = d_model / n_heads;
-  heads_.resize(static_cast<size_t>(n_heads));
+  const int64_t d_head = d_model / n_heads;
+  Tensor wq(d_model, d_model), wk(d_model, d_model), wv(d_model, d_model);
   for (int64_t h = 0; h < n_heads; ++h) {
-    const std::string hn = name + ".h" + std::to_string(h);
-    heads_[static_cast<size_t>(h)].wq =
-        reg.track(parameter(Tensor::xavier(d_model, d_head_, rng)), hn + ".wq");
-    heads_[static_cast<size_t>(h)].wk =
-        reg.track(parameter(Tensor::xavier(d_model, d_head_, rng)), hn + ".wk");
-    heads_[static_cast<size_t>(h)].wv =
-        reg.track(parameter(Tensor::xavier(d_model, d_head_, rng)), hn + ".wv");
+    for (Tensor* w : {&wq, &wk, &wv}) w->xavier_cols(h * d_head, d_head, rng);
   }
-  wo_ = reg.track(parameter(Tensor::xavier(d_model, d_model, rng)), name + ".wo");
-  bo_ = reg.track(parameter(Tensor(1, d_model)), name + ".bo");
+  return {parameter(std::move(wq)), parameter(std::move(wk)),
+          parameter(std::move(wv)),
+          parameter(Tensor::xavier(d_model, d_model, rng)),
+          parameter(Tensor(1, d_model))};
 }
 
-Var MultiHeadAttention::forward(const Var& query, const Var& key_value,
-                                bool causal, double dropout_p, bool training,
-                                Rng& rng) const {
+FeedForwardWeights<Var> init_feed_forward(int64_t d_model, int64_t d_ff,
+                                          Rng& rng) {
+  return {parameter(Tensor::xavier(d_model, d_ff, rng)),
+          parameter(Tensor(1, d_ff)),
+          parameter(Tensor::xavier(d_ff, d_model, rng)),
+          parameter(Tensor(1, d_model))};
+}
+
+LayerNormWeights<Var> init_layer_norm(int64_t d_model) {
+  return {parameter(Tensor(1, d_model, 1.0)), parameter(Tensor(1, d_model))};
+}
+
+Var attention(const AttentionWeights<Var>& w, const Var& query,
+              const Var& key_value, int64_t n_heads, bool causal,
+              double dropout_p, bool training, Rng& rng) {
+  const int64_t d_head = w.wq->value.cols() / n_heads;
+  const Var q = matmul(query, w.wq);
+  const Var k = matmul(key_value, w.wk);
+  const Var v = matmul(key_value, w.wv);
   std::vector<Var> outputs;
-  outputs.reserve(heads_.size());
-  const double inv_sqrt_dk = 1.0 / std::sqrt(static_cast<double>(d_head_));
-  for (const Head& h : heads_) {
-    const Var q = matmul(query, h.wq);
-    const Var k = matmul(key_value, h.wk);
-    const Var v = matmul(key_value, h.wv);
-    Var scores = scale(matmul_nt(q, k), inv_sqrt_dk);
+  outputs.reserve(static_cast<size_t>(n_heads));
+  const double inv_sqrt_dk = 1.0 / std::sqrt(static_cast<double>(d_head));
+  for (int64_t h = 0; h < n_heads; ++h) {
+    const int64_t col = h * d_head;
+    Var scores = scale(matmul_nt(slice_cols(q, col, d_head),
+                                 slice_cols(k, col, d_head)),
+                       inv_sqrt_dk);
     if (causal) scores = causal_mask(scores);
     Var attn = softmax_rows(scores);
     attn = dropout(attn, dropout_p, training, rng);
-    outputs.push_back(matmul(attn, v));
+    outputs.push_back(matmul(attn, slice_cols(v, col, d_head)));
   }
-  return add_bias(matmul(concat_cols(outputs), wo_), bo_);
+  return add_bias(matmul(concat_cols(outputs), w.wo), w.bo);
 }
 
-FeedForward::FeedForward(int64_t d_model, int64_t d_ff, Rng& rng,
-                         ParameterRegistry& reg, const std::string& name)
-    : in_(d_model, d_ff, rng, reg, name + ".in"),
-      out_(d_ff, d_model, rng, reg, name + ".out") {}
-
-Var FeedForward::forward(const Var& x, double dropout_p, bool training,
-                         Rng& rng) const {
-  Var h = relu(in_.forward(x));
+Var feed_forward(const FeedForwardWeights<Var>& w, const Var& x,
+                 double dropout_p, bool training, Rng& rng) {
+  Var h = relu(add_bias(matmul(x, w.w_in), w.b_in));
   h = dropout(h, dropout_p, training, rng);
-  h = out_.forward(h);
+  h = add_bias(matmul(h, w.w_out), w.b_out);
   return dropout(h, dropout_p, training, rng);
 }
 
-LayerNormParams::LayerNormParams(int64_t d_model, ParameterRegistry& reg,
-                                 const std::string& name) {
-  gamma_ = reg.track(parameter(Tensor(1, d_model, 1.0)), name + ".gamma");
-  beta_ = reg.track(parameter(Tensor(1, d_model)), name + ".beta");
+Var layer_norm(const Var& x, const LayerNormWeights<Var>& w) {
+  return ml::layer_norm(x, w.gamma, w.beta);
 }
 
-Var LayerNormParams::forward(const Var& x) const {
-  return layer_norm(x, gamma_, beta_);
+}  // namespace
+
+EncoderLayerWeights<Var> init_encoder_layer(int64_t d_model, int64_t n_heads,
+                                            int64_t d_ff, Rng& rng) {
+  return {init_attention(d_model, n_heads, rng),
+          init_feed_forward(d_model, d_ff, rng), init_layer_norm(d_model),
+          init_layer_norm(d_model)};
 }
 
-EncoderLayer::EncoderLayer(int64_t d_model, int64_t n_heads, int64_t d_ff,
-                           Rng& rng, ParameterRegistry& reg,
-                           const std::string& name)
-    : self_attn_(d_model, n_heads, rng, reg, name + ".self"),
-      ffn_(d_model, d_ff, rng, reg, name + ".ffn"),
-      norm1_(d_model, reg, name + ".norm1"),
-      norm2_(d_model, reg, name + ".norm2") {}
+DecoderLayerWeights<Var> init_decoder_layer(int64_t d_model, int64_t n_heads,
+                                            int64_t d_ff, Rng& rng) {
+  return {init_attention(d_model, n_heads, rng),
+          init_attention(d_model, n_heads, rng),
+          init_feed_forward(d_model, d_ff, rng), init_layer_norm(d_model),
+          init_layer_norm(d_model), init_layer_norm(d_model)};
+}
 
-Var EncoderLayer::forward(const Var& x, double dropout_p, bool training,
-                          Rng& rng) const {
+Var encoder_layer(const EncoderLayerWeights<Var>& w, const Var& x,
+                  int64_t n_heads, double dropout_p, bool training, Rng& rng) {
   // Post-norm residuals as in the original architecture (paper Fig. 1).
-  Var attn = self_attn_.forward(x, x, /*causal=*/false, dropout_p, training, rng);
-  Var h = norm1_.forward(add(x, dropout(attn, dropout_p, training, rng)));
-  Var ff = ffn_.forward(h, dropout_p, training, rng);
-  return norm2_.forward(add(h, ff));
+  Var attn = attention(w.self, x, x, n_heads, /*causal=*/false, dropout_p,
+                       training, rng);
+  Var h = layer_norm(add(x, dropout(attn, dropout_p, training, rng)), w.norm1);
+  Var ff = feed_forward(w.ffn, h, dropout_p, training, rng);
+  return layer_norm(add(h, ff), w.norm2);
 }
 
-DecoderLayer::DecoderLayer(int64_t d_model, int64_t n_heads, int64_t d_ff,
-                           Rng& rng, ParameterRegistry& reg,
-                           const std::string& name)
-    : self_attn_(d_model, n_heads, rng, reg, name + ".self"),
-      cross_attn_(d_model, n_heads, rng, reg, name + ".cross"),
-      ffn_(d_model, d_ff, rng, reg, name + ".ffn"),
-      norm1_(d_model, reg, name + ".norm1"),
-      norm2_(d_model, reg, name + ".norm2"),
-      norm3_(d_model, reg, name + ".norm3") {}
-
-Var DecoderLayer::forward(const Var& x, const Var& memory, double dropout_p,
-                          bool training, Rng& rng) const {
-  Var self = self_attn_.forward(x, x, /*causal=*/true, dropout_p, training, rng);
-  Var h = norm1_.forward(add(x, dropout(self, dropout_p, training, rng)));
-  Var cross = cross_attn_.forward(h, memory, /*causal=*/false, dropout_p, training, rng);
-  h = norm2_.forward(add(h, dropout(cross, dropout_p, training, rng)));
-  Var ff = ffn_.forward(h, dropout_p, training, rng);
-  return norm3_.forward(add(h, ff));
+Var decoder_layer(const DecoderLayerWeights<Var>& w, const Var& x,
+                  const Var& memory, int64_t n_heads, double dropout_p,
+                  bool training, Rng& rng) {
+  Var self = attention(w.self, x, x, n_heads, /*causal=*/true, dropout_p,
+                       training, rng);
+  Var h = layer_norm(add(x, dropout(self, dropout_p, training, rng)), w.norm1);
+  Var cross = attention(w.cross, h, memory, n_heads, /*causal=*/false,
+                        dropout_p, training, rng);
+  h = layer_norm(add(h, dropout(cross, dropout_p, training, rng)), w.norm2);
+  Var ff = feed_forward(w.ffn, h, dropout_p, training, rng);
+  return layer_norm(add(h, ff), w.norm3);
 }
 
 }  // namespace ota::ml

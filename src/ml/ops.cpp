@@ -304,6 +304,28 @@ Var concat_cols(const std::vector<Var>& parts) {
   });
 }
 
+Var slice_cols(const Var& a, int64_t begin, int64_t count) {
+  const int64_t rows = a->value.rows(), cols = a->value.cols();
+  if (begin < 0 || count <= 0 || begin > cols - count) {
+    throw InvalidArgument("slice_cols: columns [" + std::to_string(begin) +
+                          ", " + std::to_string(begin + count) +
+                          ") out of range for width " + std::to_string(cols));
+  }
+  Tensor out(rows, count);
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t c = 0; c < count; ++c) out(r, c) = a->value(r, begin + c);
+  }
+  return make_node(std::move(out), {a}, [a, begin](Node& n) {
+    if (!a->requires_grad) return;
+    Tensor& g = a->ensure_grad();
+    for (int64_t r = 0; r < n.grad.rows(); ++r) {
+      for (int64_t c = 0; c < n.grad.cols(); ++c) {
+        g(r, begin + c) += n.grad(r, c);
+      }
+    }
+  });
+}
+
 Var dropout(const Var& a, double p, bool training, Rng& rng) {
   if (!training || p <= 0.0) return a;
   if (p >= 1.0) throw InvalidArgument("dropout: p must be < 1");

@@ -36,6 +36,11 @@ Var embedding(const Var& table, const std::vector<nlp::TokenId>& ids);
 
 /// Horizontal concatenation of equal-row tensors (the multi-head join).
 Var concat_cols(const std::vector<Var>& parts);
+/// Columns [begin, begin + count) of `a` (a head's block of a fused
+/// projection), the inverse of concat_cols.  The backward pass adds into the
+/// block, so overlapping slices of one tensor accumulate.  Throws
+/// InvalidArgument when the block does not fit.
+Var slice_cols(const Var& a, int64_t begin, int64_t count);
 
 /// Inverted dropout; identity when !training or p == 0.
 Var dropout(const Var& a, double p, bool training, Rng& rng);

@@ -10,9 +10,21 @@ namespace ota::ml {
 template <typename T>
 BasicTensor<T> BasicTensor<T>::xavier(int64_t rows, int64_t cols, Rng& rng) {
   BasicTensor t(rows, cols);
-  const double bound = std::sqrt(6.0 / static_cast<double>(rows + cols));
-  for (auto& v : t.data()) v = rng.uniform(-bound, bound);
+  t.xavier_cols(0, cols, rng);
   return t;
+}
+
+template <typename T>
+void BasicTensor<T>::xavier_cols(int64_t col, int64_t cols, Rng& rng) {
+  if (col < 0 || cols <= 0 || col > cols_ - cols) {
+    throw InvalidArgument("Tensor::xavier_cols: column block out of range");
+  }
+  const double bound = std::sqrt(6.0 / static_cast<double>(rows_ + cols));
+  for (int64_t r = 0; r < rows_; ++r) {
+    for (int64_t c = col; c < col + cols; ++c) {
+      (*this)(r, c) = rng.uniform(-bound, bound);
+    }
+  }
 }
 
 template <typename T>

@@ -48,6 +48,10 @@ class BasicTensor {
 
   /// Xavier/Glorot uniform initialization for weight matrices.
   static BasicTensor xavier(int64_t rows, int64_t cols, Rng& rng);
+  /// Draws a Xavier (rows(), cols) matrix in place into columns
+  /// [col, col + cols), row-major like xavier(); InvalidArgument when the
+  /// block does not fit.
+  void xavier_cols(int64_t col, int64_t cols, Rng& rng);
 
   int64_t rows() const { return rows_; }
   int64_t cols() const { return cols_; }

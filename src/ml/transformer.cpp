@@ -16,31 +16,29 @@ Transformer::Transformer(const TransformerConfig& config)
     throw InvalidArgument("Transformer: vocab_size must be set");
   }
   Rng rng(cfg_.seed);
-  src_embed_ = reg_.track(
-      parameter(Tensor::xavier(cfg_.vocab_size, cfg_.d_model, rng)), "src_embed");
-  tgt_embed_ = reg_.track(
-      parameter(Tensor::xavier(cfg_.vocab_size, cfg_.d_model, rng)), "tgt_embed");
+  w_.src_embed = parameter(Tensor::xavier(cfg_.vocab_size, cfg_.d_model, rng));
+  w_.tgt_embed = parameter(Tensor::xavier(cfg_.vocab_size, cfg_.d_model, rng));
   for (int64_t l = 0; l < cfg_.n_layers; ++l) {
-    encoder_.emplace_back(cfg_.d_model, cfg_.n_heads, cfg_.d_ff, rng, reg_,
-                          "enc" + std::to_string(l));
+    w_.encoder.push_back(
+        init_encoder_layer(cfg_.d_model, cfg_.n_heads, cfg_.d_ff, rng));
   }
   for (int64_t l = 0; l < cfg_.n_layers; ++l) {
-    decoder_.emplace_back(cfg_.d_model, cfg_.n_heads, cfg_.d_ff, rng, reg_,
-                          "dec" + std::to_string(l));
+    w_.decoder.push_back(
+        init_decoder_layer(cfg_.d_model, cfg_.n_heads, cfg_.d_ff, rng));
   }
-  out_w_ = reg_.track(
-      parameter(Tensor::xavier(cfg_.d_model, cfg_.vocab_size, rng)), "out.w");
-  out_b_ = reg_.track(parameter(Tensor(1, cfg_.vocab_size)), "out.b");
+  w_.out_w = parameter(Tensor::xavier(cfg_.d_model, cfg_.vocab_size, rng));
+  w_.out_b = parameter(Tensor(1, cfg_.vocab_size));
+  for_each_weight([this](const Var& p) { params_.push_back(p); }, w_);
 }
 
 Var Transformer::encode(const std::vector<TokenId>& src, bool training,
                         Rng& rng) const {
   if (src.empty()) throw InvalidArgument("Transformer::encode: empty input");
-  Var x = scale(embedding(src_embed_, src), std::sqrt(static_cast<double>(cfg_.d_model)));
+  Var x = scale(embedding(w_.src_embed, src), std::sqrt(static_cast<double>(cfg_.d_model)));
   x = pos_.forward(x);
   x = dropout(x, cfg_.dropout, training, rng);
-  for (const auto& layer : encoder_) {
-    x = layer.forward(x, cfg_.dropout, training, rng);
+  for (const auto& layer : w_.encoder) {
+    x = encoder_layer(layer, x, cfg_.n_heads, cfg_.dropout, training, rng);
   }
   return x;
 }
@@ -48,13 +46,14 @@ Var Transformer::encode(const std::vector<TokenId>& src, bool training,
 Var Transformer::decode(const Var& memory, const std::vector<TokenId>& tgt_in,
                         bool training, Rng& rng) const {
   if (tgt_in.empty()) throw InvalidArgument("Transformer::decode: empty input");
-  Var x = scale(embedding(tgt_embed_, tgt_in), std::sqrt(static_cast<double>(cfg_.d_model)));
+  Var x = scale(embedding(w_.tgt_embed, tgt_in), std::sqrt(static_cast<double>(cfg_.d_model)));
   x = pos_.forward(x);
   x = dropout(x, cfg_.dropout, training, rng);
-  for (const auto& layer : decoder_) {
-    x = layer.forward(x, memory, cfg_.dropout, training, rng);
+  for (const auto& layer : w_.decoder) {
+    x = decoder_layer(layer, x, memory, cfg_.n_heads, cfg_.dropout, training,
+                      rng);
   }
-  return add_bias(matmul(x, out_w_), out_b_);
+  return add_bias(matmul(x, w_.out_w), w_.out_b);
 }
 
 Var Transformer::loss(const std::vector<TokenId>& src,
@@ -102,25 +101,26 @@ std::vector<TokenId> Transformer::greedy_decode(const std::vector<TokenId>& src,
 }
 
 void Transformer::copy_parameters_from(const Transformer& other) {
-  const auto& src = other.reg_.parameters();
-  const auto& dst = reg_.parameters();
-  if (src.size() != dst.size()) {
+  const auto& src = other.params_;
+  if (src.size() != params_.size()) {
     throw InvalidArgument("Transformer::copy_parameters_from: parameter count mismatch");
   }
   for (size_t i = 0; i < src.size(); ++i) {
-    if (!dst[i]->value.same_shape(src[i]->value)) {
+    if (!params_[i]->value.same_shape(src[i]->value)) {
       throw InvalidArgument("Transformer::copy_parameters_from: shape mismatch");
     }
-    dst[i]->value = src[i]->value;
+    params_[i]->value = src[i]->value;
   }
 }
 
+/// Weight-stream tag: version 2 is the fused Q/K/V layout.
+constexpr char kStreamTag[8] = {'o', 't', 'a', 't', 'f', 'm', 'r', '2'};
+
 void Transformer::save(std::ostream& os) const {
-  const char magic[8] = {'o', 't', 'a', 't', 'f', 'm', 'r', '1'};
-  os.write(magic, sizeof magic);
-  const int64_t n = static_cast<int64_t>(reg_.parameters().size());
+  os.write(kStreamTag, sizeof kStreamTag);
+  const int64_t n = static_cast<int64_t>(params_.size());
   os.write(reinterpret_cast<const char*>(&n), sizeof n);
-  for (const auto& p : reg_.parameters()) {
+  for (const auto& p : params_) {
     const int64_t rows = p->value.rows(), cols = p->value.cols();
     os.write(reinterpret_cast<const char*>(&rows), sizeof rows);
     os.write(reinterpret_cast<const char*>(&cols), sizeof cols);
@@ -130,17 +130,20 @@ void Transformer::save(std::ostream& os) const {
 }
 
 void Transformer::load(std::istream& is) {
-  char magic[8];
-  is.read(magic, sizeof magic);
-  if (!is || std::string(magic, 8) != "otatfmr1") {
-    throw InvalidArgument("Transformer::load: bad file magic");
+  char tag[8];
+  is.read(tag, sizeof tag);
+  if (!is || !std::equal(tag, tag + sizeof tag, kStreamTag)) {
+    throw InvalidArgument(
+        "Transformer::load: not a fused-layout weight stream (expected tag "
+        "'otatfmr2'); per-head 'otatfmr1' streams cannot be read, re-train "
+        "the model");
   }
   int64_t n = 0;
   is.read(reinterpret_cast<char*>(&n), sizeof n);
-  if (n != static_cast<int64_t>(reg_.parameters().size())) {
+  if (n != static_cast<int64_t>(params_.size())) {
     throw InvalidArgument("Transformer::load: parameter count mismatch");
   }
-  for (const auto& p : reg_.parameters()) {
+  for (const auto& p : params_) {
     int64_t rows = 0, cols = 0;
     is.read(reinterpret_cast<char*>(&rows), sizeof rows);
     is.read(reinterpret_cast<char*>(&cols), sizeof cols);
@@ -155,7 +158,7 @@ void Transformer::load(std::istream& is) {
 
 int64_t Transformer::parameter_count() const {
   int64_t total = 0;
-  for (const auto& p : reg_.parameters()) total += p->value.size();
+  for (const auto& p : params_) total += p->value.size();
   return total;
 }
 

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "ml/layers.hpp"
@@ -31,10 +30,10 @@ class Transformer {
   explicit Transformer(const TransformerConfig& config);
 
   const TransformerConfig& config() const { return cfg_; }
-  const std::vector<Var>& parameters() const { return reg_.parameters(); }
-  /// Registry names aligned with parameters(); InferenceEngine snapshots
-  /// weights by these names.
-  const std::vector<std::string>& parameter_names() const { return reg_.names(); }
+  /// Every weight, in the layout's order (for_each_weight, ml/layers.hpp).
+  const std::vector<Var>& parameters() const { return params_; }
+  /// The weights by field; InferenceEngine compiles its tiers from these.
+  const ModelWeights<Var>& weights() const { return w_; }
   const PositionalEncoding& positional() const { return pos_; }
 
   /// Encoder memory for a source token sequence.
@@ -67,7 +66,9 @@ class Transformer {
   /// from the master model through this after each optimizer step.
   void copy_parameters_from(const Transformer& other);
 
-  /// Binary weight serialization (architecture must match on load).
+  /// Binary weight serialization: the tag 'otatfmr2', then every parameter
+  /// in parameters() order.  load() requires a matching architecture and
+  /// refuses any other tag, including the per-head 'otatfmr1' layout.
   void save(std::ostream& os) const;
   void load(std::istream& is);
 
@@ -76,12 +77,9 @@ class Transformer {
 
  private:
   TransformerConfig cfg_;
-  ParameterRegistry reg_;
-  Var src_embed_, tgt_embed_;
+  ModelWeights<Var> w_;
+  std::vector<Var> params_;  ///< w_'s fields in for_each_weight order
   PositionalEncoding pos_;
-  std::vector<EncoderLayer> encoder_;
-  std::vector<DecoderLayer> decoder_;
-  Var out_w_, out_b_;
   mutable Rng inference_rng_{0};  // dropout disabled at inference; unused draws
 };
 

@@ -154,6 +154,21 @@ TEST_F(AutogradTest, ConcatColsGradient) {
   gradcheck([&] { return sum(mul(concat_cols({a, b}), w)); }, b);
 }
 
+TEST_F(AutogradTest, SliceColsGradient) {
+  Var a = parameter(random_tensor(3, 5, rng));
+  Var w1 = constant(random_tensor(3, 3, rng));
+  Var w2 = constant(random_tensor(3, 2, rng));
+  // Columns [1, 4) and [2, 4) overlap: their gradients must add, not
+  // overwrite each other.
+  gradcheck([&] {
+    return add(sum(mul(slice_cols(a, 1, 3), w1)),
+               sum(mul(slice_cols(a, 2, 2), w2)));
+  }, a);
+  EXPECT_THROW((void)slice_cols(a, 3, 3), InvalidArgument);
+  EXPECT_THROW((void)slice_cols(a, -1, 2), InvalidArgument);
+  EXPECT_THROW((void)slice_cols(a, 0, 0), InvalidArgument);
+}
+
 TEST_F(AutogradTest, CrossEntropyGradient) {
   Var logits = parameter(random_tensor(4, 6, rng));
   const std::vector<nlp::TokenId> targets{2, 0, 5, 1};

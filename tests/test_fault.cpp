@@ -141,7 +141,9 @@ TEST(FaultTest, MalformedSpecsThrowAndLeaveTheActiveSpecUnchanged) {
   install_spec("good.site:once=1");
   for (const char* bad :
        {"nosite", ":once=1", "s:once=0", "s:every=0", "s:once=x", "s:prob=1.5",
-        "s:prob=-0.1", "s:prob=", "s:mode=1", "s:once=1;s:once=2"}) {
+        "s:prob=-0.1", "s:prob=", "s:mode=1", "s:once=1;s:once=2",
+        "s:prob=nan", "s:once=18446744073709551617",
+        "s:prob=0.5@99999999999999999999999"}) {
     EXPECT_THROW(install_spec(bad), InvalidArgument) << bad;
   }
   // The good spec survived every failed install.

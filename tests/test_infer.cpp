@@ -392,6 +392,23 @@ TEST(SizingModelInfer, SaveLoadRoundTripsV2Format) {
   std::remove((prefix + ".model").c_str());
 }
 
+TEST(SizingModelInfer, SaveReportsAnUnwritablePath) {
+  const SizingModel& model = trained_sizing_model();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "ota_infer_no_such_dir";
+  std::filesystem::remove_all(dir);
+  const std::string prefix = (dir / "model").string();
+  try {
+    model.save(prefix);
+    ADD_FAILURE() << "save into a missing directory returned normally";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(prefix + ".bpe"), std::string::npos)
+        << e.what();
+  }
+  SizingModel loaded;
+  EXPECT_FALSE(loaded.load(prefix));
+}
+
 /// Writes a v2 model-file header for `cfg` in SizingModel::save's layout.
 void write_v2_header(std::ostream& os, const ml::TransformerConfig& cfg) {
   os.write("otasmdl2", 8);

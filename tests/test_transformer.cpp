@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "ml/adam.hpp"
@@ -120,10 +121,61 @@ TEST(Transformer, SaveLoadRoundTrip) {
   }
 }
 
+TEST(Transformer, SaveLoadSaveIsByteIdentical) {
+  const Transformer model(tiny_config(11));
+  std::stringstream first;
+  model.save(first);
+
+  TransformerConfig cfg = tiny_config(11);
+  cfg.seed = 999;  // different init; load must overwrite all of it
+  Transformer other(cfg);
+  other.load(first);
+  std::stringstream second;
+  other.save(second);
+  EXPECT_EQ(first.str(), second.str());
+}
+
+TEST(Transformer, InitDrawsEachHeadBlockAsItsOwnXavierMatrix) {
+  // Replays the per-head initialization: the embeddings, then for each head
+  // of enc0.self its own Xavier (d_model, d_head) q, k and v matrices, drawn
+  // row-major, which must land bit for bit in column block h of the fused
+  // projections.
+  const TransformerConfig cfg = tiny_config(11);
+  const Transformer model(cfg);
+  const int64_t d_head = cfg.d_model / cfg.n_heads;
+  Rng rng(cfg.seed);
+  EXPECT_EQ(Tensor::xavier(cfg.vocab_size, cfg.d_model, rng).data(),
+            model.weights().src_embed->value.data());
+  EXPECT_EQ(Tensor::xavier(cfg.vocab_size, cfg.d_model, rng).data(),
+            model.weights().tgt_embed->value.data());
+  const AttentionWeights<Var>& self = model.weights().encoder[0].self;
+  const double bound = std::sqrt(6.0 / static_cast<double>(cfg.d_model + d_head));
+  for (int64_t h = 0; h < cfg.n_heads; ++h) {
+    for (const Var& fused : {self.wq, self.wk, self.wv}) {
+      for (int64_t r = 0; r < cfg.d_model; ++r) {
+        for (int64_t c = 0; c < d_head; ++c) {
+          ASSERT_EQ(rng.uniform(-bound, bound), fused->value(r, h * d_head + c))
+              << "head " << h << " row " << r << " col " << c;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(Tensor::xavier(cfg.d_model, cfg.d_model, rng).data(),
+            self.wo->value.data());
+}
+
 TEST(Transformer, LoadRejectsGarbage) {
   Transformer model(tiny_config(11));
   std::stringstream buf("definitely not a model file");
   EXPECT_THROW(model.load(buf), InvalidArgument);
+
+  // A per-head stream (tag 'otatfmr1') is refused by its tag.
+  std::stringstream saved;
+  model.save(saved);
+  std::string per_head = saved.str();
+  per_head.replace(0, 8, "otatfmr1");
+  std::stringstream old_stream(per_head);
+  EXPECT_THROW(model.load(old_stream), InvalidArgument);
 }
 
 TEST(Transformer, LoadRejectsMismatchedArchitecture) {
@@ -152,6 +204,14 @@ TEST(Transformer, EmptyInputsRejected) {
 TEST(Transformer, VocabSizeRequired) {
   TransformerConfig cfg;
   EXPECT_THROW((void)Transformer(cfg), InvalidArgument);
+}
+
+TEST(Transformer, HeadCountMustDivideModelWidth) {
+  for (const int64_t heads : {int64_t{0}, int64_t{3}}) {
+    TransformerConfig cfg = tiny_config(11);
+    cfg.n_heads = heads;
+    EXPECT_THROW((void)Transformer(cfg), InvalidArgument) << heads;
+  }
 }
 
 TEST(Adam, ConvergesOnQuadratic) {
