@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/prediction_client.hpp"
 #include "core/predictor.hpp"
 #include "core/sequence_builder.hpp"
 #include "lut/width_estimator.hpp"
@@ -57,10 +56,10 @@ struct CopilotOptions {
   spice::MeasureOptions measure{};
   /// Cooperative cancellation: once this token fires (its owner cancels it
   /// or its deadline passes), size() throws ota::Cancelled at the next stage
-  /// boundary, and any in-flight scheduler-backed decode retires from the
-  /// dynamic batch mid-round.  The default token never fires.  Under a
-  /// CampaignServer the job owns this token: leave it unset and use
-  /// Job::cancel() and CampaignRequest::deadline_seconds.
+  /// boundary.  Each Stage-II predict receives it too, so a scheduler-backed
+  /// decode retires from the dynamic batch mid-round.  The default token
+  /// never fires.  Under a CampaignServer the job owns this token: leave it
+  /// unset and use Job::cancel() and CampaignRequest::deadline_seconds.
   CancelToken cancel{};
 };
 
@@ -83,17 +82,13 @@ class SizingCopilot {
                 const LutSet& luts);
 
   /// Sizes the OTA for `target` (specs are treated as minimum requirements).
-  /// Stage-II predictions run through the serial reference client (an
-  /// inline batch of one on the calling thread — the bit-identity baseline).
+  /// Every Stage-II prediction is one blocking `model.predict` call.  Over
+  /// a SizingModel it decodes inline on the calling thread (the
+  /// bit-identity baseline); over a campaign server's
+  /// serve::ScheduledPredictor it joins the shared continuous-batching
+  /// scheduler, and the outcome (everything except the wall-clock
+  /// `seconds`) is bit-identical to the inline one.
   SizingOutcome size(const Specs& target, const CopilotOptions& opt = {});
-
-  /// As above, with Stage-II predictions submitted through `stage2` —
-  /// under a campaign server this is the continuous-batching scheduler
-  /// client, so concurrent campaigns' decodes coalesce on one engine.  The
-  /// outcome (everything except the wall-clock `seconds`) is bit-identical
-  /// to the serial overload for any scheduler/batch configuration.
-  SizingOutcome size(const Specs& target, const CopilotOptions& opt,
-                     PredictionClient& stage2);
 
  private:
   bool meets(const Specs& achieved, const Specs& target,

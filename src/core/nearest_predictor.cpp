@@ -44,8 +44,9 @@ const Design& NearestNeighborPredictor::nearest(const Specs& s) const {
   return *best;
 }
 
-std::string NearestNeighborPredictor::predict(const std::string& encoder_text,
-                                              int /*max_tokens*/) const {
+std::string NearestNeighborPredictor::predict(
+    const std::string& encoder_text, int /*max_tokens*/,
+    const CancelToken& /*cancel*/) const {
   return builder_.decoder_text(nearest(parse_encoder_specs(encoder_text)));
 }
 

@@ -19,8 +19,8 @@ class NearestNeighborPredictor : public Predictor {
   NearestNeighborPredictor(const SequenceBuilder& builder,
                            std::vector<Design> designs);
 
-  std::string predict(const std::string& encoder_text,
-                      int max_tokens) const override;
+  std::string predict(const std::string& encoder_text, int max_tokens,
+                      const CancelToken& cancel = {}) const override;
 
   /// The training design closest to the given specs.
   const Design& nearest(const Specs& specs) const;

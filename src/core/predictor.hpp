@@ -2,12 +2,14 @@
 // decoder sequence.  The transformer (SizingModel) is the paper's instance;
 // NearestNeighborPredictor is a non-learned reference used by tests and the
 // ablation benchmarks (how much does the transformer beat a lookup of the
-// closest training design?).
+// closest training design?); serve::ScheduledPredictor routes each predict
+// through a campaign server's shared continuous-batching scheduler.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "common/cancel.hpp"
 #include "ml/precision.hpp"
 #include "par/thread_pool.hpp"
 
@@ -16,9 +18,14 @@ namespace ota::core {
 class Predictor {
  public:
   virtual ~Predictor() = default;
-  /// Decoder-sequence prediction for an encoder sequence.
-  virtual std::string predict(const std::string& encoder_text,
-                              int max_tokens) const = 0;
+  /// Decoder-sequence prediction for an encoder sequence.  `cancel` is the
+  /// caller's token: a scheduler-backed implementation hands it to its
+  /// decode, which retires once the token fires and throws ota::Cancelled;
+  /// an inline one may ignore it (the copilot checks the token just before
+  /// each call).  Overrides repeat the `= {}` default, so
+  /// `predict(text, n)` always compiles.
+  virtual std::string predict(const std::string& encoder_text, int max_tokens,
+                              const CancelToken& cancel = {}) const = 0;
 
   /// Predictions for many encoder sequences at numeric tier `precision`,
   /// positionally aligned with the input.  The default is a serial loop

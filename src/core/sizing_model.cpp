@@ -181,7 +181,8 @@ TrainHistory SizingModel::train(
 }
 
 std::string SizingModel::predict(const std::string& encoder_text,
-                                 int max_tokens) const {
+                                 int max_tokens,
+                                 const CancelToken& /*cancel*/) const {
   if (!engine_) throw InvalidArgument("SizingModel::predict: not trained");
   const auto src = tokenizer_.encode(encoder_text);
   const auto out = engine_->greedy_decode(src, max_tokens);

@@ -55,10 +55,12 @@ class SizingModel : public Predictor {
                      par::ThreadPool& pool = par::global_pool());
 
   /// Greedy prediction of the decoder text for an encoder text.  Decodes
-  /// through the compiled inference engine (KV cache, no autograd graph);
-  /// output is bit-identical to the Var-based Transformer::greedy_decode.
-  std::string predict(const std::string& encoder_text,
-                      int max_tokens = 800) const override;
+  /// inline through the compiled inference engine (KV cache, no autograd
+  /// graph), so it does not read `cancel`; output is bit-identical to the
+  /// Var-based Transformer::greedy_decode.  Throws InvalidArgument for
+  /// max_tokens <= 0.
+  std::string predict(const std::string& encoder_text, int max_tokens = 800,
+                      const CancelToken& cancel = {}) const override;
 
   /// Batched greedy prediction: all requests decode concurrently on `pool`
   /// through the engine.  kDouble is bit-identical to the serial loop;

@@ -11,7 +11,6 @@
 namespace ota::ml {
 
 using nlp::TokenId;
-using nlp::Vocabulary;
 
 namespace {
 
@@ -44,9 +43,6 @@ std::exception_ptr cancelled(const std::string& what) {
 struct DecodeScheduler::ActiveRequest {
   std::shared_ptr<Ticket> ticket;
   std::unique_ptr<InferenceEngine::Session> session;
-  TokenId prev = Vocabulary::kBos;
-  int64_t steps_done = 0;
-  int64_t budget = 0;  ///< min(max_tokens, cfg.max_len), as greedy_decode
   bool finished = false;
   bool cancelled = false;  ///< finished via cancellation, not tokens/error
 };
@@ -279,8 +275,6 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
       FAULT_SITE("ml.session.encode");
       a.session = std::make_unique<InferenceEngine::Session>(
           engine_, a.ticket->src, opt_.precision);
-      a.budget = std::min<int64_t>(a.ticket->max_tokens,
-                                   engine_.config().max_len);
       active.push_back(std::move(a));
     } catch (...) {
       a.ticket->error = std::current_exception();
@@ -311,10 +305,10 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
   // containment rather than any per-ticket handler.
   FAULT_SITE("ml.scheduler.round");
 
-  // One continuous-batching round: every live session advances one token,
-  // fanned out across the pool.  Each worker touches only its own
-  // caller-indexed requests, so the per-request token stream is exactly
-  // greedy_decode's whatever the interleaving.
+  // One continuous-batching round: every live session advances one token
+  // by greedy_step, fanned out across the pool.  Each worker touches only
+  // its own caller-indexed requests, so the per-request token stream is
+  // exactly greedy_decode's whatever the interleaving.
   STAT_REGION("ml.scheduler.round");
   STAT_COUNTER_ADD("ml.scheduler.batch_sessions", batch);
   pool_.parallel_for(active.size(), [&](size_t begin, size_t end) {
@@ -323,17 +317,10 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
       if (a.finished) continue;  // cancelled above: do not step it
       try {
         FAULT_SITE("ml.session.step");
-        const TokenId best = argmax_token(a.session->step(a.prev));
-        ++a.steps_done;
-        if (best == Vocabulary::kEos) {
-          a.finished = true;
-        } else {
-          // Pre-publication the ticket's token buffer belongs to the
-          // scheduler; waiters read it only after publish().
-          a.ticket->tokens.push_back(best);
-          a.prev = best;
-          if (a.steps_done >= a.budget) a.finished = true;
-        }
+        // Pre-publication the ticket's token buffer belongs to the
+        // scheduler; waiters read it only after publish().
+        a.finished =
+            !a.session->greedy_step(a.ticket->tokens, a.ticket->max_tokens);
       } catch (...) {
         a.ticket->error = std::current_exception();
         a.finished = true;

@@ -17,8 +17,8 @@
 // the same (src, max_tokens) — regardless of arrival order, batch
 // composition, or pool width.  This falls out of the architecture rather
 // than of careful scheduling: each request decodes through its own Session
-// (private KV cache, private argmax chain, the exact loop greedy_decode
-// runs), and sessions never read each other's state, so WHAT is computed is
+// (private KV cache, one Session::greedy_step per round: greedy_decode's
+// rule), and sessions never read each other's state, so WHAT is computed is
 // independent of WHEN the scheduler interleaves it.
 #pragma once
 

@@ -395,20 +395,30 @@ TokenId argmax_token(const Tensor& logits) {
   return best;
 }
 
+bool InferenceEngine::Session::greedy_step(std::vector<TokenId>& tokens,
+                                           int64_t max_tokens) {
+  const TokenId best =
+      argmax_token(step(tokens.empty() ? Vocabulary::kBos : tokens.back()));
+  if (best == Vocabulary::kEos) return false;
+  tokens.push_back(best);
+  // Same step clamp as Transformer::greedy_decode: the decoder input at step
+  // s holds s+1 tokens, so max_len steps keep every position in range.
+  return static_cast<int64_t>(tokens.size()) <
+         std::min(max_tokens, eng_.cfg_.max_len);
+}
+
 std::vector<TokenId> InferenceEngine::greedy_decode(
     const std::vector<TokenId>& src, int64_t max_len,
     Precision precision) const {
+  if (max_len <= 0) {
+    throw InvalidArgument(
+        "InferenceEngine::greedy_decode: max_tokens must be positive, got " +
+        std::to_string(max_len) +
+        " (a zero token budget would silently decode nothing)");
+  }
   Session session(*this, src, precision);
-  // Same step clamp as Transformer::greedy_decode: the decoder input at step
-  // s holds s+1 tokens, so cfg_.max_len steps keep every position in range.
-  const int64_t steps = std::min(max_len, cfg_.max_len);
   std::vector<TokenId> out;
-  TokenId prev = Vocabulary::kBos;
-  for (int64_t step = 0; step < steps; ++step) {
-    const TokenId best = argmax_token(session.step(prev));
-    if (best == Vocabulary::kEos) break;
-    out.push_back(best);
-    prev = best;
+  while (session.greedy_step(out, max_len)) {
   }
   return out;
 }
@@ -417,14 +427,6 @@ std::vector<std::vector<TokenId>> InferenceEngine::greedy_decode_batch(
     const std::vector<std::vector<TokenId>>& srcs, int64_t max_len,
     Precision precision, par::ThreadPool& pool) const {
   std::vector<std::vector<TokenId>> out(srcs.size());
-  if (srcs.empty()) return out;
-  if (max_len <= 0) {
-    throw InvalidArgument(
-        "InferenceEngine::greedy_decode_batch: max_tokens must be positive, "
-        "got " + std::to_string(max_len) +
-        " (a zero token budget would silently decode nothing)");
-  }
-  validated_precision(precision, "InferenceEngine::greedy_decode_batch");
   // Requests are independent and share only the immutable engine, so the
   // result is bit-identical for any pool size.
   pool.parallel_for(srcs.size(), [&](size_t begin, size_t end) {

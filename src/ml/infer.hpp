@@ -40,9 +40,8 @@
 namespace ota::ml {
 
 /// Greedy next-token choice over a (1, vocab) logits row: the lowest index
-/// of the maximum value.  The single argmax used by every decode path —
-/// greedy_decode, greedy_decode_batch, and the continuous-batching
-/// DecodeScheduler — so tie-breaking can never diverge between them.
+/// of the maximum value.  Session::greedy_step, the one greedy rule of every
+/// decode path, picks its token here, so tie-breaking can never diverge.
 nlp::TokenId argmax_token(const Tensor& logits);
 
 /// One tier's compiled weights: the model's own layout (ml/layers.hpp) in
@@ -72,21 +71,22 @@ class InferenceEngine {
   /// through Session's precision argument.
   TensorF encode_f32(const std::vector<nlp::TokenId>& src) const;
 
-  /// Greedy decode.  At Precision::kDouble (the default) the output is
-  /// token-for-token identical to Transformer::greedy_decode (max_len is
-  /// clamped to config().max_len the same way).  Precision::kFloat32
-  /// decodes through the f32 snapshot — deterministic run to run, and
-  /// token-identical to the double tier on trained models (the agreement
-  /// property bench_infer_tier and the test suites gate on).
+  /// Greedy decode: a Session looped on greedy_step.  At Precision::kDouble
+  /// (the default) the output is token-for-token identical to
+  /// Transformer::greedy_decode (max_len is clamped to config().max_len the
+  /// same way).  Precision::kFloat32 decodes through the f32 snapshot —
+  /// deterministic run to run, and token-identical to the double tier on
+  /// trained models (the agreement property bench_infer_tier and the test
+  /// suites gate on).  Throws InvalidArgument when max_len <= 0 (decoding
+  /// zero tokens is always a caller bug), before encoding anything.
   std::vector<nlp::TokenId> greedy_decode(
       const std::vector<nlp::TokenId>& src, int64_t max_len,
       Precision precision = Precision::kDouble) const;
 
-  /// Decodes every request independently on `pool`.  Results are
-  /// positionally aligned with `srcs` and bit-identical for any pool width,
-  /// including an inline pool (at either precision tier).  Throws
-  /// InvalidArgument when max_len <= 0 and the batch is non-empty (decoding
-  /// zero tokens is always a caller bug).
+  /// Decodes every request independently on `pool` through greedy_decode,
+  /// so a non-empty batch throws what it throws.  Results are positionally
+  /// aligned with `srcs` and bit-identical for any pool width, including an
+  /// inline pool (at either precision tier).
   std::vector<std::vector<nlp::TokenId>> greedy_decode_batch(
       const std::vector<std::vector<nlp::TokenId>>& srcs, int64_t max_len,
       Precision precision = Precision::kDouble,
@@ -111,6 +111,13 @@ class InferenceEngine {
     /// for the following token.  Throws InvalidArgument once the decoder
     /// length would exceed the positional table.
     const Tensor& step(nlp::TokenId token);
+
+    /// The one greedy rule: feeds tokens.back() (<bos> while `tokens` is
+    /// empty) and appends the argmax.  Returns false on <eos>, which is not
+    /// appended, or once tokens.size() reaches min(max_tokens,
+    /// config().max_len).  greedy_decode loops on it; DecodeScheduler calls
+    /// it once per round per live request.
+    bool greedy_step(std::vector<nlp::TokenId>& tokens, int64_t max_tokens);
 
     /// Number of tokens fed so far.
     int64_t length() const { return length_; }

@@ -10,8 +10,9 @@
 //
 // The tier is a runtime knob threaded through the whole serving stack:
 // InferenceEngine decode calls -> ml::DecodeScheduler::Options ->
-// core::Predictor::predict_batch / core::SerialPredictionClient ->
-// serve::CampaignServer::Options and per-register_topology overrides.
+// core::Predictor::predict_batch -> serve::CampaignServer::Options and
+// per-register_topology overrides (each topology's scheduler, and so its
+// serve::ScheduledPredictor, decodes at one tier).
 #pragma once
 
 #include "common/error.hpp"

@@ -27,36 +27,21 @@ std::string layer_of(const std::string& site) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// ScheduledPredictionClient
+// ScheduledPredictor
 
-std::unique_ptr<core::PredictionClient::Handle> ScheduledPredictionClient::submit(
-    const std::string& encoder_text, int max_tokens, const CancelToken& cancel) {
-  class TicketHandle : public Handle {
-   public:
-    TicketHandle(const core::SizingModel& model,
-                 std::shared_ptr<ml::DecodeScheduler::Ticket> ticket)
-        : model_(model), ticket_(std::move(ticket)) {}
-
-    std::string wait() override {
-      // Ticket::wait rethrows the request's error (ota::Cancelled when the
-      // campaign was cancelled, its deadline passed, or the scheduler shut
-      // down drainless); the campaign worker surfaces it as Cancelled.
-      return model_.tokenizer().decode(ticket_->wait());
-    }
-
-   private:
-    const core::SizingModel& model_;
-    std::shared_ptr<ml::DecodeScheduler::Ticket> ticket_;
-  };
-
+std::string ScheduledPredictor::predict(const std::string& encoder_text,
+                                        int max_tokens,
+                                        const CancelToken& cancel) const {
   // The campaign's token rides into the scheduler, so a cancelled
   // campaign's live decode retires from the dynamic batch at the next round
-  // instead of decoding to completion.  Same tokenizer both ways as the
-  // serial path's predict_batch, so the round-tripped text is bit-identical
-  // to the reference client's.
-  return std::make_unique<TicketHandle>(
-      model_, scheduler_.submit(model_.tokenizer().encode(encoder_text),
-                                static_cast<int64_t>(max_tokens), cancel));
+  // instead of decoding to completion; Ticket::wait rethrows it as
+  // ota::Cancelled.  The same tokenizer both ways as SizingModel::predict,
+  // so the round-tripped text is byte-identical to it.
+  return model_.tokenizer().decode(
+      scheduler_
+          .submit(model_.tokenizer().encode(encoder_text),
+                  static_cast<int64_t>(max_tokens), cancel)
+          ->wait());
 }
 
 // ---------------------------------------------------------------------------
@@ -191,7 +176,7 @@ void CampaignServer::register_topology(
     sopt.max_batch = opt_.max_decode_batch;
     sopt.precision = tier;
     entry->scheduler = std::make_unique<ml::DecodeScheduler>(engine, sopt);
-    entry->client = std::make_unique<ScheduledPredictionClient>(
+    entry->predictor = std::make_unique<ScheduledPredictor>(
         *entry->model, *entry->scheduler);
   } catch (...) {
     // Release the reservation: the name was never visible as a valid
@@ -365,11 +350,10 @@ void CampaignServer::worker_loop() {
       // the entry), and private mutable state is what makes the result
       // independent of which worker runs it.
       core::SizingCopilot copilot(entry->topology, entry->tech, *entry->builder,
-                                  *entry->model, *entry->luts);
-      // The job's token rides in its options, into the prediction client
-      // and decode scheduler.
-      res.outcome = copilot.size(job->request.target, job->request.options,
-                                 *entry->client);
+                                  *entry->predictor, *entry->luts);
+      // The job's token rides in its options, into the predictor and decode
+      // scheduler.
+      res.outcome = copilot.size(job->request.target, job->request.options);
       res.status = CampaignStatus::Served;
     } catch (const Cancelled& e) {
       res.status = CampaignStatus::Cancelled;

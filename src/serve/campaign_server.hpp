@@ -7,8 +7,9 @@
 // ml::DecodeScheduler over that engine.  Clients submit() campaign requests
 // from any thread and block on a Job handle; a fixed set of worker threads
 // drains the FIFO job queue, running each campaign's Stage I-IV refinement
-// loop on a fresh copilot.  The Stage-II predictions of every live campaign
-// flow through the topology's shared scheduler, where they coalesce into
+// loop on a fresh copilot over the topology's ScheduledPredictor.  Each
+// Stage-II prediction is one blocking call into the topology's shared
+// scheduler, where the predictions of every live campaign coalesce into
 // dynamic decode batches on the one engine — the LLM-serving architecture,
 // with SPICE verification taking the place of the client's "think time".
 //
@@ -56,20 +57,24 @@
 
 namespace ota::serve {
 
-/// Stage-II client backed by a topology's shared DecodeScheduler: submit
-/// tokenizes and enqueues; wait blocks on the scheduler ticket and
-/// detokenizes.  Many campaigns share one instance concurrently.
-class ScheduledPredictionClient : public core::PredictionClient {
+/// Stage II backed by a topology's shared DecodeScheduler: predict
+/// tokenizes, submits with the caller's token, blocks on the ticket and
+/// detokenizes.  Many campaigns share one instance concurrently.  Every
+/// answer is the model's own greedy decode at the scheduler's tier, which
+/// also overrides predict_batch's `precision` (the base's serial loop).
+class ScheduledPredictor : public core::Predictor {
  public:
-  /// Both references must outlive the client; `scheduler` must run over
+  /// Both references must outlive the predictor; `scheduler` must run over
   /// `model.engine()`.
-  ScheduledPredictionClient(const core::SizingModel& model,
-                            ml::DecodeScheduler& scheduler)
+  ScheduledPredictor(const core::SizingModel& model,
+                     ml::DecodeScheduler& scheduler)
       : model_(model), scheduler_(scheduler) {}
 
-  std::unique_ptr<Handle> submit(const std::string& encoder_text,
-                                 int max_tokens,
-                                 const CancelToken& cancel) override;
+  /// Throws what the ticket resolves with: ota::Cancelled once `cancel`
+  /// fires (the decode retires from the dynamic batch mid-round), and
+  /// InvalidArgument for max_tokens <= 0.
+  std::string predict(const std::string& encoder_text, int max_tokens,
+                      const CancelToken& cancel = {}) const override;
 
  private:
   const core::SizingModel& model_;
@@ -275,7 +280,7 @@ class CampaignServer {
     std::shared_ptr<const core::LutSet> luts;
     std::unique_ptr<core::SequenceBuilder> builder;
     std::unique_ptr<ml::DecodeScheduler> scheduler;
-    std::unique_ptr<ScheduledPredictionClient> client;
+    std::unique_ptr<ScheduledPredictor> predictor;
   };
 
   void worker_loop();

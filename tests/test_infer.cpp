@@ -160,6 +160,10 @@ TEST(InferenceEngine, BatchRejectsNonpositiveTokenBudget) {
                                                 Precision::kDouble, pool8),
                InvalidArgument);
   EXPECT_TRUE(engine.greedy_decode_batch({}, 0).empty());
+  // The single decode refuses it the same way, at either tier.
+  EXPECT_THROW((void)engine.greedy_decode({4, 5}, 0), InvalidArgument);
+  EXPECT_THROW((void)engine.greedy_decode({4, 5}, -7, Precision::kFloat32),
+               InvalidArgument);
 }
 
 TEST(InferenceEngine, EncoderInputLongerThanTableThrows) {
@@ -332,6 +336,8 @@ TEST(SizingModelInfer, PredictBatchBitIdenticalAcrossThreadCounts) {
             serial);
   EXPECT_EQ(model.predict_batch(texts, 64, ml::Precision::kDouble, pool8),
             serial);
+  // The serial path refuses a zero token budget, as the batch path does.
+  EXPECT_THROW((void)model.predict(texts[0], 0), InvalidArgument);
 }
 
 TEST(SizingModelInfer, PredictBatchPrecisionOverload) {

@@ -330,19 +330,23 @@ TEST_F(DeterminismTest, SchedulerDoubleTierAttributesTokensToDoubleCounter) {
 
 TEST_F(DeterminismTest, CampaignServerF32TopologyMatchesF32SerialCopilot) {
   // A topology registered on the float32 tier must serve campaigns
-  // bit-identical to the serial copilot driven by a float32
-  // SerialPredictionClient — the same WHAT-not-WHEN contract as the double
-  // path, one tier down.  Stats must attribute every decode step to f32.
+  // bit-identical to the serial copilot over a float32 batch-of-one
+  // predictor — the same WHAT-not-WHEN contract as the double path, one
+  // tier down.  Stats must attribute every decode step to f32.
   const auto targets = campaign_targets(4);
   const auto opt = campaign_options();
 
+  struct F32Reference : core::Predictor {
+    std::string predict(const std::string& text, int n,
+                        const CancelToken& = {}) const override {
+      return model().predict_batch({text}, n, ml::Precision::kFloat32).front();
+    }
+  } f32_reference;
   std::vector<core::SizingOutcome> reference;
   {
-    core::SizingCopilot copilot(*topo_, *tech_, *builder_, model(), *luts_);
-    core::SerialPredictionClient f32_client(model(), ml::Precision::kFloat32);
-    for (const auto& t : targets) {
-      reference.push_back(copilot.size(t, opt, f32_client));
-    }
+    core::SizingCopilot copilot(*topo_, *tech_, *builder_, f32_reference,
+                                *luts_);
+    for (const auto& t : targets) reference.push_back(copilot.size(t, opt));
   }
 
   CampaignServer::Options sopt;
@@ -380,8 +384,6 @@ TEST_F(DeterminismTest, ForgedPrecisionIsRefusedAtEveryDoor) {
   sopt.decode_precision = forged;
   EXPECT_THROW(CampaignServer{sopt}, InvalidArgument);
 
-  EXPECT_THROW(core::SerialPredictionClient(model(), forged), InvalidArgument);
-
   CampaignServer server;
   EXPECT_THROW(server.register_topology("5T-OTA", *topo_, *tech_, *model_,
                                         luts_, forged),
@@ -392,8 +394,50 @@ TEST_F(DeterminismTest, ForgedPrecisionIsRefusedAtEveryDoor) {
                            ml::Precision::kFloat32);
 }
 
+TEST_F(DeterminismTest, ScheduledPredictorHandsItsTokenToTheScheduler) {
+  // The caller's token must reach the scheduler: a fired one retires the
+  // request before a single decode step, and the inert one decodes exactly
+  // the serial model's bytes.
+  ml::DecodeScheduler scheduler(model().engine());
+  const ScheduledPredictor predictor(model(), scheduler);
+  const std::string text = builder_->encoder_text(campaign_targets(1)[0]);
+
+  CancelToken fired(CancelToken::Clock::time_point::max());
+  fired.cancel();
+  EXPECT_THROW((void)predictor.predict(text, 96, fired), Cancelled);
+  const auto stats = scheduler.stats();
+  EXPECT_EQ(stats.cancelled, 1u);
+  EXPECT_EQ(stats.session_steps, 0u);
+
+  EXPECT_EQ(predictor.predict(text, 96), model().predict(text, 96));
+}
+
 // ---------------------------------------------------------------------------
 // CampaignServer
+
+TEST_F(DeterminismTest, NonPositiveDecodeBudgetFailsOnBothStageTwoPaths) {
+  // A zero token budget would decode nothing.  The serial copilot's
+  // SizingModel::predict refuses it, and so does the scheduler a served
+  // campaign predicts through, before any simulation runs.
+  const auto target = campaign_targets(1)[0];
+  auto opt = campaign_options();
+  opt.max_decode_tokens = 0;
+
+  core::SizingCopilot copilot(*topo_, *tech_, *builder_, model(), *luts_);
+  EXPECT_THROW((void)copilot.size(target, opt), InvalidArgument);
+
+  CampaignServer::Options sopt;
+  sopt.workers = 1;
+  CampaignServer server(sopt);
+  server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_);
+  const auto job = server.submit({"5T-OTA", target, opt});
+  const CampaignResult& res = job->wait();
+  EXPECT_EQ(res.status, CampaignStatus::Failed);
+  EXPECT_NE(res.error.find("max_tokens must be positive"), std::string::npos)
+      << res.error;
+  EXPECT_EQ(res.outcome.spice_simulations, 0);
+  EXPECT_EQ(server.stats().failed, 1u);
+}
 
 TEST_F(DeterminismTest, CampaignServerBitIdenticalToSerialCopilot) {
   const auto targets = campaign_targets(6);

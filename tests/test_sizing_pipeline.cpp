@@ -197,8 +197,8 @@ class FirstReplyPredictor : public Predictor {
                       std::string first_reply)
       : nn_(nn), first_reply_(std::move(first_reply)) {}
 
-  std::string predict(const std::string& encoder_text,
-                      int max_tokens) const override {
+  std::string predict(const std::string& encoder_text, int max_tokens,
+                      const CancelToken& = {}) const override {
     requests_.push_back(encoder_text);
     if (requests_.size() == 1) return first_reply_;
     return nn_.predict(encoder_text, max_tokens);
@@ -216,7 +216,8 @@ class FirstReplyPredictor : public Predictor {
 class ConstantPredictor : public Predictor {
  public:
   explicit ConstantPredictor(std::string reply) : reply_(std::move(reply)) {}
-  std::string predict(const std::string&, int) const override {
+  std::string predict(const std::string&, int,
+                      const CancelToken& = {}) const override {
     return reply_;
   }
 
