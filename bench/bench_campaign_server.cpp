@@ -173,11 +173,11 @@ int main() {
                overload_attempts, overload_depth);
   serve::CampaignServer::Options oopt;
   oopt.workers = 4;
-  oopt.max_decode_batch = 4;
   oopt.max_queue_depth = overload_depth;
   oopt.overflow = serve::OverflowPolicy::Reject;
   serve::CampaignServer overload_server(oopt);
-  overload_server.register_topology("5T-OTA", topo, tech(), model, lut_set);
+  overload_server.register_topology("5T-OTA", topo, tech(), model, lut_set,
+                                    {.max_batch = 4});
 
   core::CopilotOptions cheap;  // short campaigns: the burst is the subject
   cheap.max_iterations = 2;

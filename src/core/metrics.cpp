@@ -23,21 +23,18 @@ std::string param_key(const std::string& param, const std::string& device) {
   return param + device;
 }
 
-// The shared predict-then-parse step of every validation sweep: one batched
-// prediction over the first n designs' specs, parsed into parameter maps
-// positionally aligned with `validation`.
+// The shared predict-then-parse step of every validation sweep: one predict
+// per design for the first n designs, each parsed into its design's slot.
 std::vector<std::map<std::string, double>> predict_params(
     const SequenceBuilder& builder, const Predictor& model,
     const std::vector<Design>& validation, int n, int max_tokens = 800) {
-  std::vector<std::string> texts;
-  texts.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    texts.push_back(builder.encoder_text(validation[static_cast<size_t>(i)].specs));
-  }
-  const std::vector<std::string> decoded = model.predict_batch(texts, max_tokens);
-  std::vector<std::map<std::string, double>> out;
-  out.reserve(decoded.size());
-  for (const std::string& d : decoded) out.push_back(builder.parse_decoder(d));
+  std::vector<std::map<std::string, double>> out(static_cast<size_t>(n));
+  par::global_pool().parallel_for(out.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      out[i] = builder.parse_decoder(model.predict(
+          builder.encoder_text(validation[i].specs), max_tokens));
+    }
+  });
   return out;
 }
 
@@ -50,7 +47,7 @@ std::vector<CorrelationRow> correlation_table(
   const int n = std::min<int>(max_designs, static_cast<int>(validation.size()));
   if (n < 3) throw InvalidArgument("correlation_table: too few designs");
 
-  // Collect predictions once per design (batched through the model's engine).
+  // Collect predictions once per design, concurrently across designs.
   const std::vector<std::map<std::string, double>> predictions =
       predict_params(builder, model, validation, n);
 
@@ -95,6 +92,10 @@ ScatterSeries scatter_series(const SequenceBuilder& builder,
   ScatterSeries s;
   s.device = device;
   s.param = param;
+  if (max_designs < 0) {
+    throw InvalidArgument("scatter_series: max_designs must be >= 0, got " +
+                          std::to_string(max_designs));
+  }
   const int n = std::min<int>(max_designs, static_cast<int>(validation.size()));
   const auto predictions = predict_params(builder, model, validation, n);
   for (int i = 0; i < n; ++i) {
@@ -155,6 +156,10 @@ RuntimeStats runtime_stats(const SizingCopilot& copilot,
 std::vector<Specs> targets_from_designs(const std::vector<Design>& designs,
                                         int count, double relax, uint64_t seed) {
   if (designs.empty()) throw InvalidArgument("targets_from_designs: no designs");
+  if (count < 0) {
+    throw InvalidArgument("targets_from_designs: count must be >= 0, got " +
+                          std::to_string(count));
+  }
   Rng rng(seed);
   std::vector<Specs> out;
   out.reserve(static_cast<size_t>(count));

@@ -1,4 +1,10 @@
 // Evaluation harness shared by the Table II-VIII benchmarks.
+//
+// The validation sweeps (correlation_table, scatter_series) predict through
+// core::Predictor::predict alone: one call per design, the designs spread
+// across par::global_pool(), each result in its design's slot.  A sweep's
+// output is therefore the serial loop's for any pool width, and the
+// predictor it is given must be safe to call from many threads.
 #pragma once
 
 #include <string>
@@ -7,6 +13,7 @@
 #include "core/copilot.hpp"
 #include "core/sequence_builder.hpp"
 #include "core/sizing_model.hpp"
+#include "par/thread_pool.hpp"
 
 namespace ota::core {
 
@@ -23,17 +30,17 @@ struct CorrelationRow {
   int samples = 0;      ///< designs with a usable prediction for this group
 };
 
-/// Predicts parameters for each validation design's specs (one
-/// Predictor::predict_batch call over all designs) and correlates them
-/// against the design's measured parameters.
+/// Predicts parameters for each validation design's specs and correlates
+/// them against the design's measured parameters.  Throws InvalidArgument
+/// when fewer than 3 designs are available.
 std::vector<CorrelationRow> correlation_table(
     const circuit::Topology& topology, const SequenceBuilder& builder,
     const Predictor& model, const std::vector<Design>& validation,
     int max_designs = 100);
 
 /// Paired predicted/measured values of one parameter for one device across
-/// validation designs — the scatter data of the paper's Fig. 7.  Shares the
-/// batched predict-then-parse path with correlation_table.
+/// validation designs — the scatter data of the paper's Fig. 7, in design
+/// order.  Throws InvalidArgument for max_designs < 0.
 struct ScatterSeries {
   std::string device;
   std::string param;  ///< "gm" | "gds" | "Cds" | "Cgs"
@@ -72,6 +79,7 @@ RuntimeStats runtime_stats(const SizingCopilot& copilot,
 /// Derives unseen-but-achievable spec targets from validation designs by
 /// relaxing each measured spec slightly (the "100 unique designs per
 /// topology with distinct specifications" protocol of Section IV-C).
+/// Throws InvalidArgument for an empty design set or count < 0.
 std::vector<Specs> targets_from_designs(const std::vector<Design>& designs,
                                         int count, double relax = 0.05,
                                         uint64_t seed = 99);

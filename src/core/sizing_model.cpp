@@ -189,28 +189,6 @@ std::string SizingModel::predict(const std::string& encoder_text,
   return tokenizer_.decode(out);
 }
 
-std::vector<std::string> SizingModel::predict_batch(
-    const std::vector<std::string>& encoder_texts, int max_tokens,
-    ml::Precision precision, par::ThreadPool& pool) const {
-  ml::validated_precision(precision, "SizingModel::predict_batch");
-  // An empty batch has exactly one correct answer and needs no model for it;
-  // returning it up front keeps degenerate sweeps (0 validation designs, a
-  // drained campaign queue) from tripping over engine state.
-  if (encoder_texts.empty()) return {};
-  if (!engine_) throw InvalidArgument("SizingModel::predict_batch: not trained");
-  std::vector<std::vector<TokenId>> srcs;
-  srcs.reserve(encoder_texts.size());
-  for (const std::string& text : encoder_texts) {
-    srcs.push_back(tokenizer_.encode(text));
-  }
-  const auto decoded =
-      engine_->greedy_decode_batch(srcs, max_tokens, precision, pool);
-  std::vector<std::string> out;
-  out.reserve(decoded.size());
-  for (const auto& tokens : decoded) out.push_back(tokenizer_.decode(tokens));
-  return out;
-}
-
 const nlp::BpeTokenizer& SizingModel::tokenizer() const {
   if (!model_) throw InvalidArgument("SizingModel: not trained");
   return tokenizer_;
@@ -291,6 +269,16 @@ bool SizingModel::load(const std::string& prefix) {
     throw InvalidArgument("SizingModel::load: the v2 config header in " +
                           prefix + ".model declares more weights than the "
                           "file holds");
+  }
+  // save() writes .bpe before .model, so a failed .model write leaves a new
+  // tokenizer beside an old model: its token ids would index past the
+  // embedding table at the first predict.
+  const size_t vocab = tokenizer_.vocab().size();
+  if (static_cast<int64_t>(vocab) != cfg.vocab_size) {
+    throw InvalidArgument("SizingModel::load: " + prefix + ".bpe holds " +
+                          std::to_string(vocab) + " tokens but the " +
+                          prefix + ".model header declares vocab_size " +
+                          std::to_string(cfg.vocab_size));
   }
   model_ = std::make_unique<ml::Transformer>(cfg);
   model_->load(mdl);

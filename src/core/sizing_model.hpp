@@ -15,6 +15,7 @@
 #include "ml/trainer.hpp"
 #include "ml/transformer.hpp"
 #include "nlp/bpe.hpp"
+#include "par/thread_pool.hpp"
 
 namespace ota::core {
 
@@ -57,19 +58,11 @@ class SizingModel : public Predictor {
   /// Greedy prediction of the decoder text for an encoder text.  Decodes
   /// inline through the compiled inference engine (KV cache, no autograd
   /// graph), so it does not read `cancel`; output is bit-identical to the
-  /// Var-based Transformer::greedy_decode.  Throws InvalidArgument for
+  /// Var-based Transformer::greedy_decode.  Safe to call concurrently (the
+  /// engine and tokenizer are read-only).  Throws InvalidArgument for
   /// max_tokens <= 0.
   std::string predict(const std::string& encoder_text, int max_tokens = 800,
                       const CancelToken& cancel = {}) const override;
-
-  /// Batched greedy prediction: all requests decode concurrently on `pool`
-  /// through the engine.  kDouble is bit-identical to the serial loop;
-  /// kFloat32 decodes through the engine's float32 snapshot (agreement-gated
-  /// against the double tier).  Both are deterministic for any pool width.
-  std::vector<std::string> predict_batch(
-      const std::vector<std::string>& encoder_texts, int max_tokens = 800,
-      ml::Precision precision = ml::Precision::kDouble,
-      par::ThreadPool& pool = par::global_pool()) const override;
 
   bool trained() const { return model_ != nullptr && engine_ != nullptr; }
   const nlp::BpeTokenizer& tokenizer() const;
@@ -84,9 +77,11 @@ class SizingModel : public Predictor {
   /// Throws ota::Error naming the file when either cannot be written.
   void save(const std::string& prefix) const;
   /// Loads a previously saved model; returns false when files are missing.
-  /// Throws InvalidArgument for any other model file, and for a header that
+  /// Throws InvalidArgument for any other model file, for a header that
   /// declares more weights than the file holds or an oversized positional
-  /// table, before allocating the model.
+  /// table, and for a `.bpe` whose vocabulary size differs from the
+  /// header's vocab_size (a torn save or a mixed-up pair), before
+  /// allocating the model.
   bool load(const std::string& prefix);
 
  private:

@@ -79,7 +79,8 @@ class DecodeScheduler {
 
   /// Spawns the scheduler thread.  Each round's sessions step in parallel
   /// on `pool`.  `engine` and `pool` must outlive the scheduler.  Throws
-  /// InvalidArgument for opt.max_batch < 1 — before any thread is spawned.
+  /// InvalidArgument for opt.max_batch < 1 or a forged opt.precision —
+  /// before any thread is spawned.
   /// (Two overloads rather than a defaulted Options argument: a nested
   /// struct with member initializers cannot default-construct inside its
   /// own enclosing class definition.)

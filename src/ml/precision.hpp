@@ -8,11 +8,12 @@
 // token-level agreement with the reference (bench_infer_tier hard-fails on any
 // divergence on trained models, rather than silently degrading results).
 //
-// The tier is a runtime knob threaded through the whole serving stack:
-// InferenceEngine decode calls -> ml::DecodeScheduler::Options ->
-// core::Predictor::predict_batch -> serve::CampaignServer::Options and
-// per-register_topology overrides (each topology's scheduler, and so its
-// serve::ScheduledPredictor, decodes at one tier).
+// The tier is a setting of this layer alone: an InferenceEngine decode call
+// (Session, greedy_decode, greedy_decode_batch) or a DecodeScheduler's
+// Options.  The serving layer passes a scheduler's Options through
+// serve::CampaignServer::register_topology unchanged, so each topology's
+// scheduler, and so its serve::ScheduledPredictor, decodes at one tier.
+// Session and DecodeScheduler validate the value before any work starts.
 #pragma once
 
 #include "common/error.hpp"
@@ -23,14 +24,6 @@ enum class Precision {
   kDouble = 0,   ///< bit-identity reference tier (training-side tensors)
   kFloat32 = 1,  ///< SIMD serving tier, gated on token agreement
 };
-
-inline const char* precision_name(Precision p) {
-  switch (p) {
-    case Precision::kDouble: return "double";
-    case Precision::kFloat32: return "float32";
-  }
-  return "invalid";
-}
 
 /// Door-policy validation for precision knobs that arrive through option
 /// structs (where an out-of-range value can be forged with a static_cast):

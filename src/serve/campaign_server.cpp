@@ -98,12 +98,6 @@ CampaignServer::CampaignServer(Options opt) : opt_(opt) {
         "CampaignServer: workers must be >= 0 (0 = auto), got " +
         std::to_string(opt_.workers));
   }
-  if (opt_.max_decode_batch < 1) {
-    throw InvalidArgument(
-        "CampaignServer: max_decode_batch must be positive, got " +
-        std::to_string(opt_.max_decode_batch) +
-        " (requests could never join a decode batch and would hang)");
-  }
   if (opt_.max_queue_depth < 0) {
     throw InvalidArgument(
         "CampaignServer: max_queue_depth must be >= 0 (0 = unbounded), got " +
@@ -117,7 +111,6 @@ CampaignServer::CampaignServer(Options opt) : opt_(opt) {
   if (std::isnan(opt_.block_timeout_seconds)) {
     throw InvalidArgument("CampaignServer: block_timeout_seconds is NaN");
   }
-  ml::validated_precision(opt_.decode_precision, "CampaignServer");
   const int n = par::resolve_threads(opt_.workers);
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -132,15 +125,10 @@ void CampaignServer::register_topology(
     const device::Technology& tech,
     std::shared_ptr<const core::SizingModel> model,
     std::shared_ptr<const core::LutSet> luts,
-    std::optional<ml::Precision> precision) {
+    ml::DecodeScheduler::Options decode) {
   if (!model || !luts) {
     throw InvalidArgument("CampaignServer::register_topology: null model/luts");
   }
-  // Resolve and validate the tier before reserving the name: a forged
-  // precision override must not leave a dangling reservation behind.
-  const ml::Precision tier = ml::validated_precision(
-      precision.value_or(opt_.decode_precision),
-      "CampaignServer::register_topology");
   // engine() doubles as the trained-model check (throws InvalidArgument
   // otherwise) and is what the decode scheduler batches on.
   const ml::InferenceEngine& engine = model->engine();
@@ -172,10 +160,9 @@ void CampaignServer::register_topology(
     // server's lifetime.
     entry->builder =
         std::make_unique<core::SequenceBuilder>(entry->topology, entry->tech);
-    ml::DecodeScheduler::Options sopt;
-    sopt.max_batch = opt_.max_decode_batch;
-    sopt.precision = tier;
-    entry->scheduler = std::make_unique<ml::DecodeScheduler>(engine, sopt);
+    // The scheduler refuses a max_batch < 1 or a forged tier before its
+    // thread starts; the catch below then frees the name.
+    entry->scheduler = std::make_unique<ml::DecodeScheduler>(engine, decode);
     entry->predictor = std::make_unique<ScheduledPredictor>(
         *entry->model, *entry->scheduler);
   } catch (...) {

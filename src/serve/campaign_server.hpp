@@ -4,14 +4,17 @@
 // turns it into a system that serves sustained concurrent load.  A
 // CampaignServer owns, per registered topology, one trained SizingModel
 // (with its compiled ml::InferenceEngine) and one continuous-batching
-// ml::DecodeScheduler over that engine.  Clients submit() campaign requests
-// from any thread and block on a Job handle; a fixed set of worker threads
-// drains the FIFO job queue, running each campaign's Stage I-IV refinement
-// loop on a fresh copilot over the topology's ScheduledPredictor.  Each
-// Stage-II prediction is one blocking call into the topology's shared
-// scheduler, where the predictions of every live campaign coalesce into
-// dynamic decode batches on the one engine — the LLM-serving architecture,
-// with SPICE verification taking the place of the client's "think time".
+// ml::DecodeScheduler over that engine, built from the scheduler Options
+// given at registration: the batch cap and numeric tier are ml settings,
+// and the server declares none of its own.  Clients submit() campaign
+// requests from any thread and block on a Job handle; a fixed set of worker
+// threads drains the FIFO job queue, running each campaign's Stage I-IV
+// refinement loop on a fresh copilot over the topology's
+// ScheduledPredictor.  Each Stage-II prediction is one blocking call into
+// the topology's shared scheduler, where the predictions of every live
+// campaign coalesce into dynamic decode batches on the one engine — the
+// LLM-serving architecture, with SPICE verification taking the place of the
+// client's "think time".
 //
 // Determinism contract: a campaign's SizingOutcome (everything except the
 // wall-clock `seconds`) is bit-identical to running the serial
@@ -46,7 +49,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,8 +62,7 @@ namespace ota::serve {
 /// Stage II backed by a topology's shared DecodeScheduler: predict
 /// tokenizes, submits with the caller's token, blocks on the ticket and
 /// detokenizes.  Many campaigns share one instance concurrently.  Every
-/// answer is the model's own greedy decode at the scheduler's tier, which
-/// also overrides predict_batch's `precision` (the base's serial loop).
+/// answer is the model's own greedy decode at the scheduler's tier.
 class ScheduledPredictor : public core::Predictor {
  public:
   /// Both references must outlive the predictor; `scheduler` must run over
@@ -132,9 +133,6 @@ class CampaignServer {
     /// campaign blocks on decode tickets and SPICE runs, and a blocked pool
     /// lane would stall unrelated work.
     int workers = 0;
-    /// Per-topology cap on concurrently-decoding sessions.  Each
-    /// topology's scheduler fans its rounds out on par::global_pool().
-    int max_decode_batch = 64;
     /// Admission control: maximum campaigns waiting in the queue (jobs a
     /// worker has picked up no longer count).  0 = unbounded, the
     /// pre-admission-control behaviour.  Negative throws InvalidArgument.
@@ -145,11 +143,6 @@ class CampaignServer {
     /// throwing ota::ServerOverloaded.  <= 0, +inf or beyond the clock's
     /// range = wait indefinitely; NaN throws InvalidArgument.
     double block_timeout_seconds = 0.0;
-    /// Default numeric tier every topology's decode scheduler runs at
-    /// (ml::Precision::kDouble = the bit-identity reference, kFloat32 = the
-    /// agreement-gated SIMD serving tier).  register_topology can override
-    /// it per topology.  Validated at construction.
-    ml::Precision decode_precision = ml::Precision::kDouble;
     /// Bounded retry for transient failures: a campaign that throws
     /// ConvergenceError re-enters the back of the job queue (deterministic
     /// requeue: FIFO order, the same campaign state — campaigns are
@@ -161,8 +154,7 @@ class CampaignServer {
   };
 
   CampaignServer();
-  /// Throws InvalidArgument for workers < 0, max_decode_batch < 1 (requests
-  /// could never join a decode batch and would hang), max_queue_depth < 0,
+  /// Throws InvalidArgument for workers < 0, max_queue_depth < 0,
   /// max_retries < 0 or a NaN block_timeout_seconds — before any worker
   /// thread is spawned.
   explicit CampaignServer(Options opt);
@@ -172,20 +164,22 @@ class CampaignServer {
   CampaignServer& operator=(const CampaignServer&) = delete;
 
   /// Registers `model` (trained) under `name` and stands up its decode
-  /// scheduler.  The server keeps its own Topology/Technology copies, so
-  /// the caller's may go out of scope; `model` and `luts` are shared.
-  /// Throws InvalidArgument for an untrained model, a duplicate name, an
-  /// invalid precision override, or a shut-down server.  Safe to call while
-  /// campaigns are in flight (new submissions see the topology immediately).
-  /// `precision` overrides Options::decode_precision for this topology's
-  /// scheduler (nullopt = the server-wide default), so a fleet can serve
-  /// float32 traffic while keeping one topology on the double reference
-  /// tier.
+  /// scheduler with `decode`, the scheduler's own options: its batch cap and
+  /// numeric tier (the default is 64 sessions at the double reference
+  /// tier), so a fleet can serve float32 traffic on one topology while
+  /// another stays on the reference.  Each scheduler fans its rounds out on
+  /// par::global_pool().  The server keeps its own Topology/Technology
+  /// copies, so the caller's may go out of scope; `model` and `luts` are
+  /// shared.  Throws InvalidArgument for an untrained model, a duplicate
+  /// name, options the scheduler refuses (max_batch < 1, a forged tier) or
+  /// a shut-down server; a refused registration leaves the name free.  Safe
+  /// to call while campaigns are in flight (new submissions see the
+  /// topology immediately).
   void register_topology(const std::string& name, circuit::Topology topology,
                          const device::Technology& tech,
                          std::shared_ptr<const core::SizingModel> model,
                          std::shared_ptr<const core::LutSet> luts,
-                         std::optional<ml::Precision> precision = std::nullopt);
+                         ml::DecodeScheduler::Options decode = {});
 
   /// One submitted campaign.  Resolves exactly once.
   class Job {

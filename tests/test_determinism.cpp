@@ -9,7 +9,9 @@
 // contract holds for every OTA_THREADS the default global_pool() can take.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
 
 #include "baselines/baselines.hpp"
 #include "common/rng.hpp"
@@ -17,6 +19,7 @@
 #include "core/metrics.hpp"
 #include "core/nearest_predictor.hpp"
 #include "core/sizing_model.hpp"
+#include "linalg/stats.hpp"
 
 namespace ota::core {
 namespace {
@@ -148,6 +151,8 @@ TEST_F(DeterminismTest, TargetSeedsDiffer) {
   const auto ta = targets_from_designs(ds.designs, 4, 0.05, 1);
   const auto tb = targets_from_designs(ds.designs, 4, 0.05, 2);
   EXPECT_NE(ta[0].ugf_hz, tb[0].ugf_hz);
+  EXPECT_THROW((void)targets_from_designs(ds.designs, -1, 0.05, 1),
+               InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -236,6 +241,86 @@ TEST_F(DeterminismTest, TrainingSeedsDiffer) {
   ASSERT_FALSE(ha.train_loss.empty());
   ASSERT_FALSE(hb.train_loss.empty());
   EXPECT_NE(ha.train_loss[0], hb.train_loss[0]);
+}
+
+// ---------------------------------------------------------------------------
+// Validation sweeps (core/metrics.hpp).  correlation_table and scatter_series
+// spread one Predictor::predict per design across the global pool, so their
+// output must be the serial loop's: each design's predict, parsed, then
+// filtered by key, in design order.  The global pool's width is OTA_THREADS,
+// so the tier-1 passes and the TSan job check this at several widths.
+
+double measured_value(const device::SmallSignal& ss, const std::string& param) {
+  if (param == "gm") return ss.gm;
+  if (param == "gds") return ss.gds;
+  if (param == "Cds") return ss.cds;
+  return ss.cgs;
+}
+
+TEST_F(DeterminismTest, CorrelationSweepsMatchSerialPredictions) {
+  auto topo = circuit::make_5t_ota(tech);
+  DataGenOptions dopt;
+  dopt.target_designs = 10;
+  dopt.max_attempts = 20000;
+  dopt.seed = 31;
+  const Dataset ds =
+      generate_dataset(topo, tech, SpecRange::for_topology("5T-OTA"), dopt);
+  const SequenceBuilder builder(topo, tech);
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (const Design& d : ds.designs) {
+    pairs.emplace_back(builder.encoder_text(d.specs), builder.decoder_text(d));
+  }
+  // Enough epochs that predictions carry parseable keys; a short positional
+  // table keeps the sweeps' 800-token budget from decoding 800 tokens.
+  TrainOptions topt = tiny_train_options();
+  topt.epochs = 30;
+  topt.lr = 1e-2;
+  topt.n_layers = 1;
+  topt.max_len = 128;
+  SizingModel model;
+  model.train(pairs, topt);
+
+  // The serial reference, on this thread; 800 tokens is the sweeps' budget.
+  std::vector<std::map<std::string, double>> serial;
+  for (const Design& d : ds.designs) {
+    serial.push_back(builder.parse_decoder(
+        model.predict(builder.encoder_text(d.specs), 800)));
+  }
+  const int n = static_cast<int>(ds.designs.size());
+  const auto rows = correlation_table(topo, builder, model, ds.designs, n);
+  ASSERT_EQ(rows.size(), topo.match_groups.size());
+
+  size_t pairs_seen = 0;
+  for (size_t g = 0; g < rows.size(); ++g) {
+    const std::string& device = topo.match_groups[g].devices.front();
+    int samples = 0;
+    for (const std::string param : {"gm", "gds", "Cds", "Cgs"}) {
+      std::vector<double> predicted, measured;
+      for (size_t i = 0; i < ds.designs.size(); ++i) {
+        const auto it = serial[i].find(param + device);
+        if (it == serial[i].end()) continue;
+        predicted.push_back(it->second);
+        measured.push_back(
+            measured_value(ds.designs[i].devices.at(device), param));
+      }
+      const ScatterSeries s =
+          scatter_series(builder, model, ds.designs, device, param, n);
+      EXPECT_EQ(s.predicted, predicted) << param << device;
+      EXPECT_EQ(s.measured, measured) << param << device;
+      pairs_seen += predicted.size();
+      samples = std::max(samples, static_cast<int>(predicted.size()));
+
+      const double r =
+          predicted.size() >= 3 ? linalg::pearson(measured, predicted) : 0.0;
+      const double table_r = param == "gm"    ? rows[g].r_gm
+                             : param == "gds" ? rows[g].r_gds
+                             : param == "Cds" ? rows[g].r_cds
+                                              : rows[g].r_cgs;
+      EXPECT_EQ(table_r, r) << param << device;
+    }
+    EXPECT_EQ(rows[g].samples, samples) << device;
+  }
+  EXPECT_GT(pairs_seen, 0u) << "no prediction parsed: the check is vacuous";
 }
 
 // ---------------------------------------------------------------------------

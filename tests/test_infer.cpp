@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 
 #include "core/sizing_model.hpp"
 #include "ml/adam.hpp"
@@ -323,64 +324,14 @@ const SizingModel& trained_sizing_model() {
   return shared;
 }
 
-TEST(SizingModelInfer, PredictBatchBitIdenticalAcrossThreadCounts) {
-  const SizingModel& model = trained_sizing_model();
-  std::vector<std::string> texts;
-  for (int i = 0; i < 6; ++i) {
-    texts.push_back("gain=" + std::to_string(41 + i) + " bw=" + std::to_string(12 + i));
-  }
-  std::vector<std::string> serial;
-  for (const auto& t : texts) serial.push_back(model.predict(t, 64));
-  par::ThreadPool pool1(1), pool8(8);
-  EXPECT_EQ(model.predict_batch(texts, 64, ml::Precision::kDouble, pool1),
-            serial);
-  EXPECT_EQ(model.predict_batch(texts, 64, ml::Precision::kDouble, pool8),
-            serial);
-  // The serial path refuses a zero token budget, as the batch path does.
-  EXPECT_THROW((void)model.predict(texts[0], 0), InvalidArgument);
-}
-
-TEST(SizingModelInfer, PredictBatchPrecisionOverload) {
-  // An explicit kDouble IS the default path (bit-identical); the kFloat32
-  // tier must be deterministic for any pool width.  Token-level
-  // agreement between the tiers is asserted on well-trained models (the ml
-  // section above, the DeterminismTest serving suite, bench_infer_tier) —
-  // this 2-epoch text model only owes tier determinism.
-  const SizingModel& model = trained_sizing_model();
-  std::vector<std::string> texts;
-  for (int i = 0; i < 4; ++i) {
-    texts.push_back("gain=" + std::to_string(42 + i) +
-                    " bw=" + std::to_string(13 + i));
-  }
-  par::ThreadPool pool1(1), pool8(8);
-  EXPECT_EQ(model.predict_batch(texts, 64, ml::Precision::kDouble, pool1),
-            model.predict_batch(texts, 64));
-  const auto f32_serial =
-      model.predict_batch(texts, 64, ml::Precision::kFloat32, pool1);
-  EXPECT_EQ(model.predict_batch(texts, 64, ml::Precision::kFloat32, pool8),
-            f32_serial);
-  EXPECT_THROW((void)model.predict_batch(texts, 64,
-                                         static_cast<ml::Precision>(3), pool1),
-               InvalidArgument);
-}
-
-TEST(SizingModelInfer, PredictBatchEmptyInputReturnsEmpty) {
-  // The empty batch needs no engine at all — it must work even on an
-  // untrained model (degenerate sweeps, drained campaign queues).
-  const SizingModel untrained;
-  EXPECT_TRUE(untrained.predict_batch({}, 64).empty());
-  par::ThreadPool pool8(8);
-  EXPECT_TRUE(trained_sizing_model()
-                  .predict_batch({}, 64, ml::Precision::kDouble, pool8)
-                  .empty());
-}
-
 TEST(SizingModelInfer, EnginePredictionMatchesReferenceTransformer) {
   const SizingModel& model = trained_sizing_model();
   const std::string text = "gain=45 bw=17";
   const auto src = model.tokenizer().encode(text);
   EXPECT_EQ(model.engine().greedy_decode(src, 64),
             model.transformer().greedy_decode(src, 64));
+  // Decoding zero tokens is always a caller bug.
+  EXPECT_THROW((void)model.predict(text, 0), InvalidArgument);
 }
 
 TEST(SizingModelInfer, SaveLoadRoundTripsV2Format) {
@@ -484,6 +435,64 @@ TEST(SizingModelInfer, LoadRejectsHeadersImplyingUnboundedAllocations) {
   EXPECT_THROW((void)loaded.load(prefix), InvalidArgument);
   std::remove((prefix + ".bpe").c_str());
   std::remove((prefix + ".model").c_str());
+}
+
+TEST(SizingModelInfer, LoadRejectsTokenizerOfAnotherModel) {
+  // save() writes .bpe before .model, so a failed .model write leaves a
+  // tokenizer beside a model it was not trained with.  Two models trained
+  // with different merge budgets, their .bpe files swapped: each load must
+  // refuse the pair, naming both vocabulary sizes, instead of loading a
+  // model whose first predict indexes past its embedding table.
+  const SizingModel& a = trained_sizing_model();
+  SizingModel b;
+  {
+    std::vector<std::pair<std::string, std::string>> pairs;
+    for (int i = 0; i < 4; ++i) {
+      pairs.emplace_back("gain=" + std::to_string(40 + i),
+                         "gmM1=" + std::to_string(1 + i) + "e-3");
+    }
+    TrainOptions opt;
+    opt.epochs = 1;
+    opt.d_model = 8;
+    opt.n_heads = 2;
+    opt.n_layers = 1;
+    opt.d_ff = 16;
+    opt.bpe_merges = 4;
+    opt.max_len = 64;
+    b.train(pairs, opt);
+  }
+  const size_t vocab_a = a.tokenizer().vocab().size();
+  const size_t vocab_b = b.tokenizer().vocab().size();
+  ASSERT_NE(vocab_a, vocab_b);
+
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string pa = (dir / "ota_infer_swap_a").string();
+  const std::string pb = (dir / "ota_infer_swap_b").string();
+  a.save(pa);
+  b.save(pb);
+  std::filesystem::rename(pa + ".bpe", pa + ".tmp");
+  std::filesystem::rename(pb + ".bpe", pa + ".bpe");
+  std::filesystem::rename(pa + ".tmp", pb + ".bpe");
+
+  for (const auto& [prefix, bpe_vocab, model_vocab] :
+       {std::tuple{pa, vocab_b, vocab_a}, std::tuple{pb, vocab_a, vocab_b}}) {
+    SizingModel loaded;
+    try {
+      (void)loaded.load(prefix);
+      ADD_FAILURE() << prefix << ": a mismatched .bpe/.model pair loaded";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::to_string(bpe_vocab) + " tokens"),
+                std::string::npos) << what;
+      EXPECT_NE(what.find("vocab_size " + std::to_string(model_vocab)),
+                std::string::npos) << what;
+    }
+    EXPECT_FALSE(loaded.trained());
+  }
+  for (const std::string& prefix : {pa, pb}) {
+    std::remove((prefix + ".bpe").c_str());
+    std::remove((prefix + ".model").c_str());
+  }
 }
 
 TEST(SizingModelInfer, LoadRejectsUnrecognizedModelFile) {

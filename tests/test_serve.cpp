@@ -339,7 +339,9 @@ TEST_F(DeterminismTest, CampaignServerF32TopologyMatchesF32SerialCopilot) {
   struct F32Reference : core::Predictor {
     std::string predict(const std::string& text, int n,
                         const CancelToken& = {}) const override {
-      return model().predict_batch({text}, n, ml::Precision::kFloat32).front();
+      const nlp::BpeTokenizer& tok = model().tokenizer();
+      return tok.decode(model().engine().greedy_decode(
+          tok.encode(text), n, ml::Precision::kFloat32));
     }
   } f32_reference;
   std::vector<core::SizingOutcome> reference;
@@ -351,10 +353,10 @@ TEST_F(DeterminismTest, CampaignServerF32TopologyMatchesF32SerialCopilot) {
 
   CampaignServer::Options sopt;
   sopt.workers = 4;
-  sopt.max_decode_batch = 4;
-  CampaignServer server(sopt);  // server default stays double...
-  server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_,
-                           ml::Precision::kFloat32);  // ...this topology: f32
+  CampaignServer server(sopt);
+  server.register_topology(
+      "5T-OTA", *topo_, *tech_, *model_, luts_,
+      {.max_batch = 4, .precision = ml::Precision::kFloat32});
 
   std::vector<std::shared_ptr<CampaignServer::Job>> jobs;
   for (const auto& t : targets) jobs.push_back(server.submit({"5T-OTA", t, opt}));
@@ -373,25 +375,21 @@ TEST_F(DeterminismTest, CampaignServerF32TopologyMatchesF32SerialCopilot) {
 TEST_F(DeterminismTest, ForgedPrecisionIsRefusedAtEveryDoor) {
   // An out-of-range Precision forged with a static_cast must be refused at
   // construction/registration, before any thread is spawned — scheduler
-  // options, server options, and the per-topology override alike.
+  // options, whether built directly or passed through register_topology.
   const auto forged = static_cast<ml::Precision>(5);
 
   ml::DecodeScheduler::Options dopt;
   dopt.precision = forged;
   EXPECT_THROW(ml::DecodeScheduler(model().engine(), dopt), InvalidArgument);
 
-  CampaignServer::Options sopt;
-  sopt.decode_precision = forged;
-  EXPECT_THROW(CampaignServer{sopt}, InvalidArgument);
-
   CampaignServer server;
   EXPECT_THROW(server.register_topology("5T-OTA", *topo_, *tech_, *model_,
-                                        luts_, forged),
+                                        luts_, {.precision = forged}),
                InvalidArgument);
   // The failed registration must release its name reservation: the same
   // name registers cleanly at a valid tier afterwards.
   server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_,
-                           ml::Precision::kFloat32);
+                           {.precision = ml::Precision::kFloat32});
 }
 
 TEST_F(DeterminismTest, ScheduledPredictorHandsItsTokenToTheScheduler) {
@@ -454,9 +452,9 @@ TEST_F(DeterminismTest, CampaignServerBitIdenticalToSerialCopilot) {
   for (int workers : {1, 3, 8}) {
     CampaignServer::Options sopt;
     sopt.workers = workers;
-    sopt.max_decode_batch = 4;
     CampaignServer server(sopt);
-    server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_);
+    server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_,
+                             {.max_batch = 4});
 
     std::vector<size_t> order(targets.size());
     std::iota(order.begin(), order.end(), size_t{0});
@@ -637,9 +635,6 @@ TEST_F(DeterminismTest, SchedulerTicketCancelResolvesExactlyOnce) {
 
 TEST_F(DeterminismTest, CampaignServerRejectsBadOptions) {
   CampaignServer::Options bad;
-  bad.max_decode_batch = 0;
-  EXPECT_THROW({ CampaignServer s(bad); }, InvalidArgument);
-  bad = CampaignServer::Options{};
   bad.max_queue_depth = -1;
   EXPECT_THROW({ CampaignServer s(bad); }, InvalidArgument);
   bad = CampaignServer::Options{};
@@ -648,6 +643,18 @@ TEST_F(DeterminismTest, CampaignServerRejectsBadOptions) {
   bad = CampaignServer::Options{};
   bad.workers = -1;
   EXPECT_THROW({ CampaignServer s(bad); }, InvalidArgument);
+  bad = CampaignServer::Options{};
+  bad.max_retries = -1;
+  EXPECT_THROW({ CampaignServer s(bad); }, InvalidArgument);
+
+  // A decode batch that can never admit a request would hang every
+  // campaign: the topology's scheduler refuses it at registration, and the
+  // refused registration leaves the name free.
+  CampaignServer server;
+  EXPECT_THROW(server.register_topology("5T-OTA", *topo_, *tech_, *model_,
+                                        luts_, {.max_batch = 0}),
+               InvalidArgument);
+  server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_);
 }
 
 TEST_F(DeterminismTest, CampaignServerCancelWhileQueuedResolvesImmediately) {
@@ -706,9 +713,9 @@ TEST_F(DeterminismTest, CampaignServerCancelMidFlightResolvesExactlyOnce) {
 
   CampaignServer::Options sopt;
   sopt.workers = 3;
-  sopt.max_decode_batch = 4;
   CampaignServer server(sopt);
-  server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_);
+  server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_,
+                           {.max_batch = 4});
 
   std::vector<std::shared_ptr<CampaignServer::Job>> jobs;
   for (const auto& t : targets) jobs.push_back(server.submit({"5T-OTA", t, opt}));
@@ -815,6 +822,13 @@ TEST_F(DeterminismTest, CampaignServerFarFutureDeadlinesAreServed) {
 TEST_F(DeterminismTest, CampaignServerRejectPolicyBoundsQueue) {
   const auto targets = campaign_targets(4);
   const auto opt = campaign_options();
+  // A slow first campaign: the worker must still be busy with it when the
+  // queue is filled below.  A 3-iteration one can finish first on a loaded
+  // host; the worker then takes `second` and the fourth submission finds
+  // room.  No 5T-OTA meets 60 dB, so this one runs all 200 iterations.
+  const core::Specs unreachable{60.0, 50e6, 5e9};
+  core::CopilotOptions slow = campaign_options();
+  slow.max_iterations = 200;
 
   CampaignServer::Options sopt;
   sopt.workers = 1;
@@ -824,7 +838,7 @@ TEST_F(DeterminismTest, CampaignServerRejectPolicyBoundsQueue) {
 
   // Occupy the worker, then fill the queue to its cap; the next submission
   // must bounce with ServerOverloaded instead of growing the queue.
-  auto first = server.submit({"5T-OTA", targets[0], opt});
+  auto first = server.submit({"5T-OTA", unreachable, slow});
   wait_for_pickup(server);
   auto second = server.submit({"5T-OTA", targets[1], opt});
   auto third = server.submit({"5T-OTA", targets[2], opt});
@@ -1182,9 +1196,9 @@ TEST_F(DeterminismTest, CampaignServerPoisonedCampaignFailsAloneAcrossWorkerCoun
       fault::ScopedFaults faults(c.spec);
       CampaignServer::Options sopt;
       sopt.workers = workers;
-      sopt.max_decode_batch = 4;
       CampaignServer server(sopt);
-      server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_);
+      server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_,
+                               {.max_batch = 4});
 
       std::vector<std::shared_ptr<CampaignServer::Job>> jobs;
       for (const auto& t : targets) {

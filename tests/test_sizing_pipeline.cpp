@@ -149,6 +149,9 @@ TEST_F(PipelineTest, ScatterSeriesAlignsPairs) {
   const auto s = scatter_series(*builder_, nn, dataset_->designs, "M3", "gm", 15);
   EXPECT_EQ(s.measured.size(), s.predicted.size());
   EXPECT_GE(s.measured.size(), 10u);
+  EXPECT_THROW((void)scatter_series(*builder_, nn, dataset_->designs, "M3",
+                                    "gm", -1),
+               InvalidArgument);
 }
 
 TEST_F(PipelineTest, SizingModelTrainsAndPersists) {
