@@ -14,10 +14,13 @@
 // Release CI job runs that mode.  Results are also written as JSON (path
 // from OTA_BENCH_JSON, default BENCH_train.json) so scripts/bench_snapshot.sh
 // can archive the perf trajectory.  The JSON also records the serial run's
-// GEMM call counts (ota::stats sites ml.gemm.{nn,nt,tn}): deterministic
-// work for a fixed corpus, which scripts/bench_diff.py pins exactly.
+// GEMM call counts (ota::stats sites ml.gemm.{nn,nt,tn}) and the work of a
+// fixed-budget 5T-OTA datagen pass (attempts, AC measurements, Newton
+// iterations): deterministic work for any pool width, which
+// scripts/bench_diff.py pins exactly.
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -92,11 +95,32 @@ int main() {
   // Every run carries the same (tiny) telemetry cost, so speedups stay fair.
   const bool stats_were_enabled = stats::enabled();
   stats::enable();
-  const auto region_calls = [](const std::map<std::string, stats::SiteTotals>& s,
-                               const char* site) -> uint64_t {
+  const auto site_count = [](const std::map<std::string, stats::SiteTotals>& s,
+                             const char* site) -> uint64_t {
     const auto it = s.find(site);
     return it == s.end() ? 0 : it->second.count;
   };
+
+  // Fixed-budget datagen: with the target unbounded every attempt runs, so
+  // the counts below do not depend on the pool width.
+  core::DataGenOptions budget;
+  budget.target_designs = std::numeric_limits<int>::max();
+  budget.max_attempts = 400;
+  budget.seed = 2024;
+  const auto datagen_before = stats::snapshot();
+  const core::Dataset budget_ds = core::generate_dataset(
+      topo, tech(), core::SpecRange::for_topology("5T-OTA"), budget);
+  const auto datagen_after = stats::snapshot();
+  const auto datagen_delta = [&](const char* site) {
+    return site_count(datagen_after, site) - site_count(datagen_before, site);
+  };
+  const uint64_t datagen_ac = datagen_delta("spice.ac.measure");
+  const uint64_t datagen_newton = datagen_delta("spice.dc.newton_iterations");
+  std::printf("fixed-budget datagen: %d attempts, %llu AC measurements, "
+              "%llu Newton iterations\n",
+              budget_ds.attempts, static_cast<unsigned long long>(datagen_ac),
+              static_cast<unsigned long long>(datagen_newton));
+
   uint64_t gemm_calls[3] = {0, 0, 0};  // nn, nt, tn of the serial run
   const char* gemm_sites[3] = {"ml.gemm.nn", "ml.gemm.nt", "ml.gemm.tn"};
 
@@ -110,8 +134,8 @@ int main() {
     if (runs.empty()) {
       const auto after = stats::snapshot();
       for (int g = 0; g < 3; ++g) {
-        gemm_calls[g] = region_calls(after, gemm_sites[g]) -
-                        region_calls(before, gemm_sites[g]);
+        gemm_calls[g] = site_count(after, gemm_sites[g]) -
+                        site_count(before, gemm_sites[g]);
       }
     }
 
@@ -171,6 +195,9 @@ int main() {
                        .num("gemm_nn_calls", gemm_calls[0])
                        .num("gemm_nt_calls", gemm_calls[1])
                        .num("gemm_tn_calls", gemm_calls[2])
+                       .num("datagen_attempts", budget_ds.attempts)
+                       .num("datagen_ac_measurements", datagen_ac)
+                       .num("datagen_newton_iterations", datagen_newton)
                        .array("runs", std::move(run_rows)));
 
   if (!bit_identical) {

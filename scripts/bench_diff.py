@@ -12,7 +12,8 @@ Field policy (what "worse" means):
   accounting/shape numbers) must match exactly: a drifted config silently
   invalidates every comparison, so the diff refuses to compare apples to
   pears and tells you to refresh the baselines instead.  STRICT_KEYS also
-  holds deterministic work counters (training GEMM calls): they do not
+  holds deterministic work counters (training GEMM calls, fixed-budget
+  datagen attempts, AC measurements and Newton iterations): they do not
   depend on the host, so any change is real and must be re-baselined on
   purpose.
 * In-process ratio fields (*speedup*, decode_occupancy) gate throughput:
@@ -50,7 +51,9 @@ BENCHES = ["train", "ac", "campaign", "infer", "fault"]
 # config drift, an accounting bug or changed work, not noise.
 STRICT_KEYS = {
     "train_runtime": ["corpus_pairs", "epochs", "batch_size",
-                      "gemm_nn_calls", "gemm_nt_calls", "gemm_tn_calls"],
+                      "gemm_nn_calls", "gemm_nt_calls", "gemm_tn_calls",
+                      "datagen_attempts", "datagen_ac_measurements",
+                      "datagen_newton_iterations"],
     "ac_sweep": ["points", "system_size"],
     "campaign_server": ["campaigns", "workers", "overload_attempts",
                         "overload_queue_cap"],

@@ -88,17 +88,21 @@ Attempt run_attempt(circuit::Topology& topo, const device::Technology& tech,
                            opt.w_min, opt.w_max);
   }
 
+  // The region filter needs only the operating point; the AC measurement,
+  // most of an evaluation's cost, runs only for attempts that pass it.
   Attempt a;
   spice::EvalResult r;
   try {
-    r = spice::evaluate(topo, tech, widths, opt.measure);
+    topo.apply_widths(widths);
+    r = spice::operating_point(topo, tech);
+    if ((opt.enforce_saturation && !r.saturation_ok) ||
+        (opt.enforce_regions && !r.regions_ok)) {
+      a.kind = AttemptKind::RegionReject;
+      return a;
+    }
+    spice::measure(topo, tech, r, opt.measure);
   } catch (const ConvergenceError&) {
     a.kind = AttemptKind::DcFailure;
-    return a;
-  }
-  if ((opt.enforce_saturation && !r.saturation_ok) ||
-      (opt.enforce_regions && !r.regions_ok)) {
-    a.kind = AttemptKind::RegionReject;
     return a;
   }
   const Specs specs{r.metrics.gain_db, r.metrics.bw_3db_hz, r.metrics.ugf_hz};
@@ -116,6 +120,13 @@ Attempt run_attempt(circuit::Topology& topo, const device::Technology& tech,
 Dataset generate_dataset(circuit::Topology& topo,
                          const device::Technology& tech, const SpecRange& range,
                          const DataGenOptions& opt, par::ThreadPool& pool) {
+  if (!(opt.w_min > 0.0) || !std::isfinite(opt.w_min)) {
+    throw InvalidArgument("generate_dataset: w_min must be finite and > 0");
+  }
+  if (!(opt.w_max >= opt.w_min) || !std::isfinite(opt.w_max)) {
+    throw InvalidArgument(
+        "generate_dataset: w_max must be finite and >= w_min");
+  }
   Dataset ds;
   ds.topology = topo.name;
 
@@ -131,20 +142,31 @@ Dataset generate_dataset(circuit::Topology& topo,
     }
   };
 
-  // Attempts are evaluated in fixed-size blocks and folded into the dataset
-  // in index order, stopping at the attempt that fills the target.  Block
-  // size only trades end-of-run waste against scheduling overhead; it can
-  // never change the result.  An inline pool (size() == 0) takes blocks of
-  // one: exactly the attempts a serial loop would evaluate.
+  // Attempts are evaluated in blocks and folded into the dataset in index
+  // order, stopping at the attempt that fills the target.  Block size only
+  // trades end-of-run waste against scheduling overhead; it can never change
+  // the result.  While at least `wide` designs are still missing, a block of
+  // `wide` attempts cannot overshoot the target, and its static chunks are
+  // long enough to even out the spread between rejected attempts (DC only)
+  // and measured ones (an order of magnitude dearer).  Near the target,
+  // blocks shrink to `narrow` to bound the waste.  An inline pool
+  // (size() == 0) takes blocks of one: exactly the attempts a serial loop
+  // would evaluate.
   const int workers = pool.size();
-  const int block =
-      workers == 0 ? 1 : std::max(workers, std::min(32 * workers, 1024));
+  const auto block_of = [workers](int per_worker, int limit) {
+    return std::max({1, workers, std::min(per_worker * workers, limit)});
+  };
+  const int wide = block_of(256, 4096);
+  const int narrow = block_of(32, 1024);
 
   std::vector<Attempt> attempts;
   int base = 0;
   while (base < opt.max_attempts &&
          static_cast<int>(ds.designs.size()) < opt.target_designs) {
-    const int m = std::min(block, opt.max_attempts - base);
+    const int missing =
+        opt.target_designs - static_cast<int>(ds.designs.size());
+    const int m = std::min(missing >= wide ? wide : narrow,
+                           opt.max_attempts - base);
     attempts.assign(static_cast<size_t>(m), Attempt{});
     pool.parallel_for(static_cast<size_t>(m), [&](size_t begin, size_t end) {
       circuit::Topology worker_topo = topo;

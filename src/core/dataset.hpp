@@ -1,12 +1,13 @@
 // Data generation (paper Section IV-A).
 //
 // Reproduces the OCEAN-scripted procedure: sweep transistor widths over
-// 0.7-50 um under the topology's matching constraints, simulate each candidate
-// with minispice, enforce the operating-region filters (differential pairs
-// weak, mirrors strong inversion — expressed as inversion-coefficient bounds
-// on each match group), and keep designs whose {gain, BW, UGF} fall in the
-// topology's Table I specification window.  Each retained design records the
-// per-device small-signal parameters the transformer learns to predict.
+// 0.7-50 um under the topology's matching constraints, solve each candidate's
+// DC operating point with minispice, enforce the operating-region filters
+// (differential pairs weak, mirrors strong inversion — expressed as
+// inversion-coefficient bounds on each match group), measure the AC response
+// of the candidates that pass, and keep designs whose {gain, BW, UGF} fall in
+// the topology's Table I specification window.  Each retained design records
+// the per-device small-signal parameters the transformer learns to predict.
 #pragma once
 
 #include <map>
@@ -61,20 +62,21 @@ struct DataGenOptions {
   bool enforce_regions = true;     ///< IC-window filters per match group
   bool enforce_saturation = true;  ///< all devices saturated
   bool enforce_spec_range = true;  ///< Table I window filter
-  /// AC measurement configuration for every candidate evaluation.  Each
-  /// attempt's gain/BW/UGF extraction rides one batched transfer_sweep over
-  /// the cached AC engine, on the attempt's own thread (the attempts
-  /// themselves are what is sharded across the pool).
+  /// AC measurement configuration.  Only attempts that pass the enforced
+  /// region filters are measured.  Each measurement's gain/BW/UGF extraction
+  /// rides one batched transfer_sweep over the cached AC engine, on the
+  /// attempt's own thread (the attempts themselves are what is sharded
+  /// across the pool).
   spice::MeasureOptions measure{};
 };
 
 struct Dataset {
   std::string topology;
   std::vector<Design> designs;
-  int attempts = 0;            ///< candidate evaluations (SPICE cost proxy)
-  int dc_failures = 0;
-  int region_rejects = 0;
-  int spec_rejects = 0;
+  int attempts = 0;        ///< candidates simulated (SPICE cost proxy)
+  int dc_failures = 0;     ///< DC, or a measured candidate's AC, failed
+  int region_rejects = 0;  ///< failed an enforced region filter; not measured
+  int spec_rejects = 0;    ///< measured outside the enforced spec window
 };
 
 /// Generates a dataset for one topology.  Sampling is log-uniform in each
@@ -82,6 +84,13 @@ struct Dataset {
 /// the 2S-OTA's second stage uses a current-balance heuristic for the CS
 /// width so the high-gain output node biases into its linear window, as a
 /// designer's sweep script would.
+///
+/// Each attempt solves DC first.  A candidate whose DC converges but fails
+/// an enforced region filter is a region reject, whatever its AC would have
+/// done; only the others are measured, and a singular AC solve counts as a
+/// DC failure.
+///
+/// Throws InvalidArgument unless 0 < w_min <= w_max, both finite.
 ///
 /// The rejection-sampling sweep is sharded over `pool`.  Attempt k draws
 /// from counted stream Rng(opt.seed, k) and workers evaluate disjoint index

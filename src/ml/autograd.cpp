@@ -61,11 +61,17 @@ void backward(const Var& root) {
       stack.pop_back();
     }
   }
-  // order is child-after-parents; traverse in reverse (root first).
+  // order is child-after-parents; traverse in reverse (root first).  By the
+  // time a node runs, every consumer has routed into its grad, so an
+  // interior node's grad is dead once it has been routed on: free it to keep
+  // the peak to the live frontier of the graph.
   root->ensure_grad().fill(1.0);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     Node* n = *it;
-    if (n->backward_fn) n->backward_fn(*n);
+    if (n->backward_fn) {
+      n->backward_fn(*n);
+      n->grad = Tensor();
+    }
   }
 }
 

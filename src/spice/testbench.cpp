@@ -1,6 +1,8 @@
 #include "spice/testbench.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -27,45 +29,71 @@ void check_regions(const circuit::Topology& topo, EvalResult& r) {
   }
 }
 
+// Holds the input sources' DC levels and writes them back on destruction, so
+// a sweep that throws midway leaves the topology as it found it.
+class InputLevels {
+ public:
+  explicit InputLevels(circuit::Topology& topo) {
+    for (const auto& src : topo.input_sources) {
+      double& dc = topo.netlist.vsource(src).dc;
+      saved_.emplace_back(&dc, dc);
+    }
+  }
+  ~InputLevels() {
+    for (const auto& [dc, level] : saved_) *dc = level;
+  }
+  InputLevels(const InputLevels&) = delete;
+  InputLevels& operator=(const InputLevels&) = delete;
+
+  void set_all(double v) {
+    for (const auto& entry : saved_) *entry.first = v;
+  }
+
+ private:
+  std::vector<std::pair<double*, double>> saved_;
+};
+
 }  // namespace
+
+EvalResult operating_point(const circuit::Topology& topo,
+                           const device::Technology& tech) {
+  EvalResult r;
+  r.dc = solve_dc(topo.netlist, tech);
+  r.devices = small_signal_map(topo.netlist, tech, r.dc);
+  check_regions(topo, r);
+  return r;
+}
+
+void measure(const circuit::Topology& topo, const device::Technology& tech,
+             EvalResult& r, const MeasureOptions& opt) {
+  const AcAnalysis ac(topo.netlist, tech, r.dc);
+  r.metrics = measure_ac(ac, topo.output_node, opt);
+}
 
 EvalResult evaluate(circuit::Topology& topo, const device::Technology& tech,
                     const std::vector<double>& widths,
                     const MeasureOptions& opt) {
   topo.apply_widths(widths);
-  return evaluate_current(topo, tech, opt);
-}
-
-EvalResult evaluate_current(circuit::Topology& topo,
-                            const device::Technology& tech,
-                            const MeasureOptions& opt) {
-  EvalResult r;
-  r.dc = solve_dc(topo.netlist, tech);
-  AcAnalysis ac(topo.netlist, tech, r.dc);
-  r.metrics = measure_ac(ac, topo.output_node, opt);
-  r.devices = ac.devices();
-  check_regions(topo, r);
+  EvalResult r = operating_point(topo, tech);
+  measure(topo, tech, r, opt);
   return r;
 }
 
 std::optional<std::pair<double, double>> input_common_mode_range(
     circuit::Topology& topo, const device::Technology& tech, double v_step) {
-  // Save the common-mode values to restore afterwards.
-  std::vector<double> saved;
-  for (const auto& src : topo.input_sources) {
-    saved.push_back(topo.netlist.vsource(src).dc);
+  if (!(v_step > 0.0) || !std::isfinite(v_step)) {
+    throw InvalidArgument(
+        "input_common_mode_range: v_step must be finite and > 0");
   }
+  InputLevels inputs(topo);
 
   double lo = tech.vdd, hi = 0.0;
   bool any = false;
   for (double vcm = 0.0; vcm <= tech.vdd + 1e-12; vcm += v_step) {
-    for (const auto& src : topo.input_sources) {
-      topo.netlist.vsource(src).dc = vcm;
-    }
+    inputs.set_all(vcm);
     bool ok = false;
     try {
-      EvalResult r = evaluate_current(topo, tech);
-      ok = r.saturation_ok;
+      ok = operating_point(topo, tech).saturation_ok;
     } catch (const ConvergenceError&) {
       ok = false;
     }
@@ -74,10 +102,6 @@ std::optional<std::pair<double, double>> input_common_mode_range(
       hi = std::max(hi, vcm);
       any = true;
     }
-  }
-
-  for (size_t i = 0; i < topo.input_sources.size(); ++i) {
-    topo.netlist.vsource(topo.input_sources[i]).dc = saved[i];
   }
   if (!any) return std::nullopt;
   return std::make_pair(lo, hi);

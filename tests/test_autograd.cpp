@@ -226,5 +226,21 @@ TEST_F(AutogradTest, DiamondGraphAccumulatesBothBranches) {
   EXPECT_DOUBLE_EQ(a->grad.at(0), 7.0);  // 2*3 + 1
 }
 
+TEST_F(AutogradTest, BackwardReleasesInteriorGrads) {
+  Var a = parameter(Tensor(1, 1, 3.0));
+  Var square = mul(a, a);
+  Var both = add(square, a);
+  Var loss = sum(both);
+  backward(loss);
+  for (const Var& interior : {square, both, loss}) {
+    EXPECT_EQ(interior->grad.size(), 0);
+  }
+  EXPECT_DOUBLE_EQ(a->grad.at(0), 7.0);
+  // Released grads restart from zero, so a second pass over the same graph
+  // adds exactly one more gradient to the leaf.
+  backward(loss);
+  EXPECT_DOUBLE_EQ(a->grad.at(0), 14.0);
+}
+
 }  // namespace
 }  // namespace ota::ml

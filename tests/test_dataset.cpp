@@ -3,12 +3,37 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "common/error.hpp"
+#include "common/stats.hpp"
+#include "dataset_equality.hpp"
 
 namespace ota::core {
 namespace {
+
+uint64_t ac_measurements() {
+  const auto sites = stats::snapshot();
+  const auto it = sites.find("spice.ac.measure");
+  return it == sites.end() ? 0 : it->second.count;
+}
+
+// The region filter generate_dataset enforces, recomputed from a design's
+// recorded devices and the topology's match groups.
+bool passes_region_filter(const circuit::Topology& topo, const Design& d) {
+  for (const auto& group : topo.match_groups) {
+    for (const auto& dev : group.devices) {
+      const device::SmallSignal& ss = d.devices.at(dev);
+      if (ss.conduction != device::Conduction::Saturation ||
+          ss.ic < group.min_ic || ss.ic > group.max_ic) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
 
 class DatasetTest : public ::testing::Test {
  protected:
@@ -89,6 +114,100 @@ TEST_F(DatasetTest, DifferentSeedsDiffer) {
   ASSERT_FALSE(da.designs.empty());
   ASSERT_FALSE(db.designs.empty());
   EXPECT_NE(da.designs[0].widths, db.designs[0].widths);
+}
+
+TEST_F(DatasetTest, MeasuresOnlyCandidatesThatPassTheRegionFilter) {
+  const stats::ScopedStats scoped;
+  auto topo = circuit::make_5t_ota(tech);
+  DataGenOptions opt;
+  opt.target_designs = std::numeric_limits<int>::max();  // fixed budget
+  opt.max_attempts = 300;
+  for (int workers : {1, 3}) {
+    stats::reset();
+    par::ThreadPool pool(workers);
+    const Dataset ds = generate_dataset(
+        topo, tech, SpecRange::for_topology("5T-OTA"), opt, pool);
+    ASSERT_EQ(ds.attempts, 300);
+    EXPECT_GT(ds.region_rejects, 0);
+    EXPECT_EQ(ac_measurements(),
+              static_cast<uint64_t>(ds.attempts - ds.dc_failures -
+                                    ds.region_rejects))
+        << workers << " workers";
+  }
+
+  stats::reset();
+  topo.apply_widths({4e-6, 12e-6, 6e-6});
+  ASSERT_TRUE(spice::input_common_mode_range(topo, tech).has_value());
+  EXPECT_EQ(ac_measurements(), 0u);  // the ICMR sweep solves DC only
+  (void)spice::evaluate(topo, tech, {4e-6, 12e-6, 6e-6});
+  EXPECT_EQ(ac_measurements(), 1u);
+}
+
+TEST_F(DatasetTest, FilteredRunEqualsUnfilteredRunFilteredAfterwards) {
+  const struct {
+    const char* name;
+    int attempts;
+  } cases[] = {{"5T-OTA", 300}, {"CM-OTA", 400}, {"2S-OTA", 300}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto topo = circuit::make_topology(c.name, tech);
+    const SpecRange range = SpecRange::for_topology(c.name);
+    DataGenOptions opt;
+    opt.target_designs = std::numeric_limits<int>::max();  // fixed budget
+    opt.max_attempts = c.attempts;
+    opt.seed = 5;
+    const Dataset filtered = generate_dataset(topo, tech, range, opt);
+
+    DataGenOptions all = opt;
+    all.enforce_regions = all.enforce_saturation = all.enforce_spec_range =
+        false;
+    const Dataset unfiltered = generate_dataset(topo, tech, range, all);
+    EXPECT_EQ(unfiltered.region_rejects + unfiltered.spec_rejects, 0);
+
+    Dataset expected;
+    expected.topology = unfiltered.topology;
+    expected.attempts = unfiltered.attempts;
+    expected.dc_failures = unfiltered.dc_failures;
+    for (const Design& d : unfiltered.designs) {
+      if (!passes_region_filter(topo, d)) {
+        ++expected.region_rejects;
+      } else if (!range.contains(d.specs)) {
+        ++expected.spec_rejects;
+      } else {
+        expected.designs.push_back(d);
+      }
+    }
+    ASSERT_FALSE(expected.designs.empty());
+    EXPECT_GT(expected.region_rejects, 0);
+    expect_bit_identical(filtered, expected);
+  }
+}
+
+TEST_F(DatasetTest, RejectsBadWidthBounds) {
+  auto topo = circuit::make_5t_ota(tech);
+  const SpecRange range = SpecRange::for_topology("5T-OTA");
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    double w_min, w_max;
+    const char* field;
+  } cases[] = {{0.0, 50e-6, "w_min"},  {-1e-6, 50e-6, "w_min"},
+               {nan, 50e-6, "w_min"},  {inf, inf, "w_min"},
+               {0.7e-6, nan, "w_max"}, {0.7e-6, inf, "w_max"},
+               {2e-6, 1e-6, "w_max"}};
+  for (const auto& c : cases) {
+    DataGenOptions opt;
+    opt.max_attempts = 200;
+    opt.w_min = c.w_min;
+    opt.w_max = c.w_max;
+    try {
+      (void)generate_dataset(topo, tech, range, opt);
+      ADD_FAILURE() << "accepted w_min " << c.w_min << ", w_max " << c.w_max;
+    } catch (const InvalidArgument& e) {
+      const std::string prefix = std::string("generate_dataset: ") + c.field;
+      EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u) << e.what();
+    }
+  }
 }
 
 TEST_F(DatasetTest, SpecRangeForUnknownTopologyThrows) {

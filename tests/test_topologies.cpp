@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <vector>
+
 #include "common/error.hpp"
 #include "spice/testbench.hpp"
 
@@ -98,6 +103,34 @@ TEST_F(TopologyTest, InputCommonModeRangeIsNonTrivial) {
   // The default VCM used by the builders must fall inside the ICMR.
   EXPECT_LE(icmr->first, 0.75);
   EXPECT_GE(icmr->second, 0.75);
+}
+
+TEST_F(TopologyTest, InputCommonModeRangeRefusesBadStepAndRestoresInputs) {
+  Topology t = make_5t_ota(tech);
+  const auto input_levels = [&t] {
+    std::vector<double> v;
+    for (const auto& src : t.input_sources) {
+      v.push_back(t.netlist.vsource(src).dc);
+    }
+    return v;
+  };
+  const std::vector<double> nominal = input_levels();
+  for (double step : {0.0, -0.05, std::nan(""),
+                      std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)spice::input_common_mode_range(t, tech, step),
+                 InvalidArgument)
+        << step;
+    EXPECT_EQ(input_levels(), nominal);
+  }
+  (void)spice::input_common_mode_range(t, tech, 0.25);
+  EXPECT_EQ(input_levels(), nominal);
+
+  // A sweep that throws midway (a match group naming no device fails the
+  // region check at the first point) restores them too.
+  t.match_groups[0].devices.push_back("M_missing");
+  EXPECT_THROW((void)spice::input_common_mode_range(t, tech, 0.25),
+               std::out_of_range);
+  EXPECT_EQ(input_levels(), nominal);
 }
 
 }  // namespace
