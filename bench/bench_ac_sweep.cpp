@@ -10,8 +10,8 @@
 //    structural phase, fanned across the ota::par pool.
 //
 // Hard gates: every batched run must be bit-identical to the 1-thread batched
-// run AND to a per-point solve() loop (thread count and batching are pure
-// performance knobs); the batched path must agree with the naive reference to
+// run AND to a per-point transfer() loop, the path spice::measure_ac scans
+// with (thread count and batching are pure performance knobs); the batched path must agree with the naive reference to
 // 1e-9 relative; and outside smoke mode on a >=4-hw-thread host the best
 // batched run must clear 2x the naive points/sec.
 //
@@ -177,8 +177,8 @@ int main() {
   std::printf("%8s %9.3fs %14.0f %8.2fx\n", "naive", naive_seconds, naive_pps,
               1.0);
 
-  // Per-point loop on the batched path (solve() is a sweep of one) — the
-  // reference every sweep below must match bit-for-bit.
+  // Per-point loop over the cached structural phase — the reference every
+  // sweep below must match bit-for-bit.
   std::vector<Cplx> loop(freqs.size());
   for (size_t i = 0; i < freqs.size(); ++i) {
     loop[i] = ac.transfer(freqs[i], topo.output_node);

@@ -32,15 +32,14 @@ double cost_at(circuit::Topology& topo, const device::Technology& tech,
 }  // namespace
 
 SizingProblem::SizingProblem(circuit::Topology topology,
-                             const device::Technology& tech, core::Specs target,
-                             double w_min, double w_max)
-    : topo_(std::move(topology)), tech_(tech), target_(target),
-      w_min_(w_min), w_max_(w_max) {}
+                             const device::Technology& tech, core::Specs target)
+    : topo_(std::move(topology)), tech_(tech), target_(target) {}
 
 std::vector<double> SizingProblem::to_widths(const std::vector<double>& x) const {
   if (x.size() != dims()) throw InvalidArgument("SizingProblem: dim mismatch");
   std::vector<double> w(x.size());
-  const double lmin = std::log(w_min_), lmax = std::log(w_max_);
+  const double lmin = std::log(core::kWidthMin);
+  const double lmax = std::log(core::kWidthMax);
   for (size_t i = 0; i < x.size(); ++i) {
     const double t = std::clamp(x[i], 0.0, 1.0);
     w[i] = std::exp(lmin + t * (lmax - lmin));

@@ -4,9 +4,9 @@
 // [5], Bayesian optimization [21], differential evolution [22]) share the
 // same structure: a black-box objective whose every evaluation is a SPICE
 // simulation.  SizingProblem wraps one topology + target specification into
-// that black box, normalizes widths into the unit cube (log-scaled, matching
-// the 0.7-50 um sweep range), and counts simulator invocations — the key
-// efficiency metric of Table IX.
+// that black box, normalizes widths into the unit cube (log-scaled over the
+// paper's sweep range [core::kWidthMin, core::kWidthMax]), and counts
+// simulator invocations — the key efficiency metric of Table IX.
 #pragma once
 
 #include <vector>
@@ -21,7 +21,7 @@ namespace ota::baselines {
 class SizingProblem {
  public:
   SizingProblem(circuit::Topology topology, const device::Technology& tech,
-                core::Specs target, double w_min = 0.7e-6, double w_max = 50e-6);
+                core::Specs target);
 
   /// Number of optimization variables (match groups).
   size_t dims() const { return topo_.match_groups.size(); }
@@ -57,7 +57,6 @@ class SizingProblem {
   circuit::Topology topo_;
   const device::Technology& tech_;
   core::Specs target_;
-  double w_min_, w_max_;
   int simulations_ = 0;
 };
 

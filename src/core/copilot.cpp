@@ -18,7 +18,7 @@ LutSet LutSet::build(const device::Technology& tech, const lut::LutOptions& opt)
 std::vector<double> widths_from_params(
     const circuit::Topology& topo, const device::Technology& tech,
     const LutSet& luts, const std::map<std::string, double>& params,
-    const std::vector<double>& fallback_widths, double w_min, double w_max) {
+    const std::vector<double>& fallback_widths) {
   if (fallback_widths.size() != topo.match_groups.size()) {
     throw InvalidArgument("widths_from_params: fallback width count mismatch");
   }
@@ -54,7 +54,7 @@ std::vector<double> widths_from_params(
       est.reset();
     }
     if (est && est->width > 0.0) {
-      widths[g] = std::clamp(est->width, w_min, w_max);
+      widths[g] = std::clamp(est->width, kWidthMin, kWidthMax);
     }
   }
   return widths;
@@ -138,7 +138,9 @@ SizingOutcome SizingCopilot::size(const Specs& target,
       }
       factor = std::clamp(factor * opt.margin_boost, 0.25, 4.0);
       widths = best_widths;
-      for (double& w : widths) w = std::clamp(w * factor, 0.7e-6, 50e-6);
+      for (double& w : widths) {
+        w = std::clamp(w * factor, kWidthMin, kWidthMax);
+      }
     }
     out.widths = widths;
 
@@ -149,11 +151,14 @@ SizingOutcome SizingCopilot::size(const Specs& target,
     spice::EvalResult r;
     try {
       STAT_REGION("core.copilot.stage4_verify");
-      r = spice::evaluate(topo_, tech_, widths, opt.measure);
+      r = spice::evaluate(topo_, tech_, widths);
       ++out.spice_simulations;
     } catch (const ConvergenceError&) {
       ++out.spice_simulations;
-      // Treat as a hard miss; tighten mildly and retry.
+      // `widths` could not be simulated: report no specs for it rather than
+      // the previous sizing's.  Treat as a hard miss; tighten mildly and
+      // retry.
+      out.achieved = Specs{};
       request.gain_db += 0.5;
       continue;
     }

@@ -14,10 +14,10 @@
 #include <string>
 #include <vector>
 
+#include "core/dataset.hpp"
 #include "core/predictor.hpp"
 #include "core/sequence_builder.hpp"
 #include "lut/width_estimator.hpp"
-#include "spice/measure.hpp"
 
 namespace ota::core {
 
@@ -31,13 +31,12 @@ struct LutSet {
 };
 
 /// Stage III: converts predicted parameter values into one width per match
-/// group.  Groups whose parameters are unusable fall back to the previous
-/// width in `fallback_widths`.
+/// group, clamped to [kWidthMin, kWidthMax].  Groups whose parameters are
+/// unusable fall back to the previous width in `fallback_widths`.
 std::vector<double> widths_from_params(
     const circuit::Topology& topology, const device::Technology& tech,
     const LutSet& luts, const std::map<std::string, double>& params,
-    const std::vector<double>& fallback_widths,
-    double w_min = 0.7e-6, double w_max = 50e-6);
+    const std::vector<double>& fallback_widths);
 
 struct CopilotOptions {
   int max_iterations = 6;      ///< paper: 1 + 3-5 refinement sims
@@ -49,11 +48,8 @@ struct CopilotOptions {
   /// candidate by constant-density width scaling: multiplying every width by
   /// a common factor keeps all bias voltages (hence the gain) and scales all
   /// currents, gm and UGF/BW linearly — the gm/Id-methodology scaling step.
+  /// Scaled widths stay clamped to [kWidthMin, kWidthMax].
   int prediction_iterations = 3;
-  /// AC measurement configuration for the Stage IV verification simulation
-  /// (one batched sweep per candidate, on the campaign's own thread:
-  /// campaigns shard whole sizing runs across the pool).
-  spice::MeasureOptions measure{};
   /// Cooperative cancellation: once this token fires (its owner cancels it
   /// or its deadline passes), size() throws ota::Cancelled at the next stage
   /// boundary.  Each Stage-II predict receives it too, so a scheduler-backed
@@ -68,8 +64,10 @@ struct SizingOutcome {
   int iterations = 0;        ///< transformer inference rounds
   int spice_simulations = 0; ///< verification simulations performed
   Specs target;              ///< the user's requirement
-  Specs achieved;            ///< measured specs of the final sizing
-  std::vector<double> widths;
+  /// Measured specs of `widths`, or zeros when the last verification could
+  /// not simulate them.
+  Specs achieved;
+  std::vector<double> widths;  ///< the final sizing
   std::map<std::string, double> predicted;  ///< last parameter prediction
   double seconds = 0.0;
 };

@@ -79,13 +79,13 @@ Attempt run_attempt(circuit::Topology& topo, const device::Technology& tech,
 
   std::vector<double> widths(n_groups);
   for (size_t g = 0; g < n_groups; ++g) {
-    widths[g] = rng.log_uniform(opt.w_min, opt.w_max);
+    widths[g] = rng.log_uniform(kWidthMin, kWidthMax);
   }
   if (two_stage) {
     // Groups: load1, dp, tail1, tail2 (M6), cs (M7).
     topo.apply_widths(widths);
     widths[4] = std::clamp(balanced_cs_width(topo, tech, widths, rng),
-                           opt.w_min, opt.w_max);
+                           kWidthMin, kWidthMax);
   }
 
   // The region filter needs only the operating point; the AC measurement,
@@ -100,7 +100,7 @@ Attempt run_attempt(circuit::Topology& topo, const device::Technology& tech,
       a.kind = AttemptKind::RegionReject;
       return a;
     }
-    spice::measure(topo, tech, r, opt.measure);
+    spice::measure(topo, tech, r);
   } catch (const ConvergenceError&) {
     a.kind = AttemptKind::DcFailure;
     return a;
@@ -120,13 +120,6 @@ Attempt run_attempt(circuit::Topology& topo, const device::Technology& tech,
 Dataset generate_dataset(circuit::Topology& topo,
                          const device::Technology& tech, const SpecRange& range,
                          const DataGenOptions& opt, par::ThreadPool& pool) {
-  if (!(opt.w_min > 0.0) || !std::isfinite(opt.w_min)) {
-    throw InvalidArgument("generate_dataset: w_min must be finite and > 0");
-  }
-  if (!(opt.w_max >= opt.w_min) || !std::isfinite(opt.w_max)) {
-    throw InvalidArgument(
-        "generate_dataset: w_max must be finite and >= w_min");
-  }
   Dataset ds;
   ds.topology = topo.name;
 

@@ -21,6 +21,12 @@
 
 namespace ota::core {
 
+/// The paper's transistor-width sweep range (Section IV-A): every width that
+/// dataset generation samples, Stage III estimates, the copilot refines or a
+/// baseline optimizer proposes lies in [kWidthMin, kWidthMax].
+inline constexpr double kWidthMin = 0.7e-6;  ///< [m]
+inline constexpr double kWidthMax = 50e-6;   ///< [m]
+
 /// The paper's specification triple.
 struct Specs {
   double gain_db = 0.0;
@@ -56,18 +62,10 @@ struct Design {
 struct DataGenOptions {
   int target_designs = 1000;
   int max_attempts = 200000;
-  double w_min = 0.7e-6;   ///< paper sweep lower bound
-  double w_max = 50e-6;    ///< paper sweep upper bound
   uint64_t seed = 2024;
   bool enforce_regions = true;     ///< IC-window filters per match group
   bool enforce_saturation = true;  ///< all devices saturated
   bool enforce_spec_range = true;  ///< Table I window filter
-  /// AC measurement configuration.  Only attempts that pass the enforced
-  /// region filters are measured.  Each measurement's gain/BW/UGF extraction
-  /// rides one batched transfer_sweep over the cached AC engine, on the
-  /// attempt's own thread (the attempts themselves are what is sharded
-  /// across the pool).
-  spice::MeasureOptions measure{};
 };
 
 struct Dataset {
@@ -80,17 +78,16 @@ struct Dataset {
 };
 
 /// Generates a dataset for one topology.  Sampling is log-uniform in each
-/// match-group width (the continuous analogue of the paper's nested sweeps);
-/// the 2S-OTA's second stage uses a current-balance heuristic for the CS
-/// width so the high-gain output node biases into its linear window, as a
-/// designer's sweep script would.
+/// match-group width over [kWidthMin, kWidthMax] (the continuous analogue of
+/// the paper's nested sweeps); the 2S-OTA's second stage uses a
+/// current-balance heuristic for the CS width so the high-gain output node
+/// biases into its linear window, as a designer's sweep script would.
 ///
 /// Each attempt solves DC first.  A candidate whose DC converges but fails
 /// an enforced region filter is a region reject, whatever its AC would have
-/// done; only the others are measured, and a singular AC solve counts as a
-/// DC failure.
-///
-/// Throws InvalidArgument unless 0 < w_min <= w_max, both finite.
+/// done; only the others are measured, on the attempt's own thread (the
+/// attempts themselves are what is sharded across the pool), and a singular
+/// AC solve counts as a DC failure.
 ///
 /// The rejection-sampling sweep is sharded over `pool`.  Attempt k draws
 /// from counted stream Rng(opt.seed, k) and workers evaluate disjoint index

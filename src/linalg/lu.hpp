@@ -23,17 +23,16 @@ inline double magnitude(const std::complex<double>& x) { return std::abs(x); }
 }  // namespace detail
 
 /// In-place LU decomposition of a square matrix with partial pivoting.
-/// Solve multiple right-hand sides against one factorization.
 ///
-/// A decomposition is reusable storage: `factor()` re-factors a new matrix
-/// into the existing buffers (no allocation when the size is unchanged), and
-/// the `solve_into` overloads write into caller-owned output buffers — the
-/// combination the AC sweep engine uses to solve thousands of frequency
+/// A decomposition is reusable storage: `factor_swap()` re-factors a new
+/// matrix in the existing buffers (no allocation when the size is
+/// unchanged), and `solve_into` writes into a caller-owned output buffer —
+/// the combination the AC engine uses to solve thousands of frequency
 /// points without a single per-point allocation.
 template <typename T>
 class LuDecomposition {
  public:
-  /// An empty decomposition; call factor() before solving.
+  /// An empty decomposition; call factor_swap() before solving.
   LuDecomposition() = default;
 
   /// Factors `a`; throws ConvergenceError when the matrix is numerically
@@ -43,26 +42,17 @@ class LuDecomposition {
     factor_in_place(singular_tol);
   }
 
-  /// Re-factors `a`, reusing this decomposition's storage.  Copying the
-  /// input costs O(n^2) against the O(n^3) factorization and leaves the
-  /// caller's matrix intact for the next assembly pass.
-  void factor(const Matrix<T>& a, double singular_tol = 1e-14) {
-    lu_ = a;
-    factor_in_place(singular_tol);
-  }
-
-  /// As factor(), but exchanges buffers with `a` instead of copying: on
-  /// return `a` holds the previous decomposition's storage (unspecified
-  /// contents, correctly sized scratch after the first round trip).  For
-  /// hot loops that fully reassemble the matrix every iteration — the AC
-  /// sweep's per-frequency phase — this makes re-factoring allocation- and
-  /// copy-free.
+  /// Re-factors `a` by exchanging buffers with it: on return `a` holds the
+  /// previous decomposition's storage (unspecified contents, correctly sized
+  /// scratch after the first round trip).  For hot loops that fully
+  /// reassemble the matrix every iteration — the AC engine's per-frequency
+  /// phase — this makes re-factoring allocation- and copy-free.
   void factor_swap(Matrix<T>& a, double singular_tol = 1e-14) {
     std::swap(lu_, a);
     factor_in_place(singular_tol);
   }
 
-  /// Solves A x = b for the matrix given at construction.
+  /// Solves A x = b for the factored matrix A.
   std::vector<T> solve(const std::vector<T>& b) const {
     std::vector<T> x;
     solve_into(b, x);
@@ -86,41 +76,6 @@ class LuDecomposition {
       T acc = x[ri];
       for (size_t c = ri + 1; c < n; ++c) acc -= lu_(ri, c) * x[c];
       x[ri] = acc / lu_(ri, ri);
-    }
-  }
-
-  /// Multi-RHS solve: A X = B where B bundles k right-hand sides as the
-  /// columns of an n x k matrix.  Column j of the result is bit-identical to
-  /// solve() on column j: the substitution visits the same elements in the
-  /// same order, only interleaved across columns for cache locality.
-  Matrix<T> solve(const Matrix<T>& b) const {
-    Matrix<T> x;
-    solve_into(b, x);
-    return x;
-  }
-
-  /// As the multi-RHS solve(), writing into `x` (resized to n x k; must not
-  /// alias `b`).
-  void solve_into(const Matrix<T>& b, Matrix<T>& x) const {
-    STAT_REGION("linalg.lu.solve");
-    const size_t n = lu_.rows();
-    const size_t k = b.cols();
-    if (b.rows() != n) throw InvalidArgument("LU solve: rhs rows mismatch");
-    if (x.rows() != n || x.cols() != k) x.reset(n, k);
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t j = 0; j < k; ++j) x(r, j) = b(perm_[r], j);
-      for (size_t c = 0; c < r; ++c) {
-        const T l = lu_(r, c);
-        for (size_t j = 0; j < k; ++j) x(r, j) -= l * x(c, j);
-      }
-    }
-    for (size_t ri = n; ri-- > 0;) {
-      for (size_t c = ri + 1; c < n; ++c) {
-        const T u = lu_(ri, c);
-        for (size_t j = 0; j < k; ++j) x(ri, j) -= u * x(c, j);
-      }
-      const T d = lu_(ri, ri);
-      for (size_t j = 0; j < k; ++j) x(ri, j) = x(ri, j) / d;
     }
   }
 

@@ -93,53 +93,15 @@ void AcAnalysis::solve_point(double f_hz, Workspace& ws) const {
   ws.lu.solve_into(rhs_, ws.x);
 }
 
-void AcAnalysis::for_each_point(
-    const std::vector<double>& freqs, par::ThreadPool& pool,
-    const std::function<void(size_t, const Workspace&)>& sink) const {
-  pool.parallel_for(freqs.size(), [&](size_t begin, size_t end) {
-    Workspace ws;
-    for (size_t i = begin; i < end; ++i) {
-      solve_point(freqs[i], ws);
-      sink(i, ws);
-    }
-  });
-}
-
-std::vector<Cplx> AcAnalysis::node_voltages(const Workspace& ws) const {
-  const int n_nodes = netlist_.node_count();
-  std::vector<Cplx> v(static_cast<size_t>(n_nodes), Cplx{});
-  for (int id = 1; id < n_nodes; ++id) {
-    v[static_cast<size_t>(id)] = ws.x[static_cast<size_t>(id - 1)];
-  }
-  return v;
-}
-
-// Single-point calls run the same numeric phase as sweeps, against
-// per-thread scratch: bisection refinements in spice::measure hit this path
-// dozens of times per measurement, so it must be as allocation-free as a
-// sweep chunk.  Different-size systems interleaving on one thread just
-// trigger the size check in solve_point.
-std::vector<Cplx> AcAnalysis::solve(double f_hz) const {
-  thread_local Workspace ws;
-  solve_point(f_hz, ws);
-  return node_voltages(ws);
-}
-
 Cplx AcAnalysis::transfer(double f_hz, const std::string& node) const {
   const circuit::NodeId id = netlist_.find_node(node);
   if (id == kGround) return Cplx{};  // the reference node is identically zero
+  // Per-thread scratch: measure_ac calls this ~135 times per measurement.
+  // Different-size systems interleaving on one thread just trigger the size
+  // check in solve_point.
   thread_local Workspace ws;
   solve_point(f_hz, ws);
   return ws.x[static_cast<size_t>(id - 1)];
-}
-
-std::vector<std::vector<Cplx>> AcAnalysis::sweep(
-    const std::vector<double>& freqs, par::ThreadPool& pool) const {
-  std::vector<std::vector<Cplx>> out(freqs.size());
-  for_each_point(freqs, pool, [&](size_t i, const Workspace& ws) {
-    out[i] = node_voltages(ws);
-  });
-  return out;
 }
 
 std::vector<Cplx> AcAnalysis::transfer_sweep(const std::vector<double>& freqs,
@@ -148,8 +110,12 @@ std::vector<Cplx> AcAnalysis::transfer_sweep(const std::vector<double>& freqs,
   const circuit::NodeId id = netlist_.find_node(node);
   std::vector<Cplx> out(freqs.size());
   if (id == kGround) return out;  // the reference node is identically zero
-  for_each_point(freqs, pool, [&](size_t i, const Workspace& ws) {
-    out[i] = ws.x[static_cast<size_t>(id - 1)];
+  pool.parallel_for(freqs.size(), [&](size_t begin, size_t end) {
+    Workspace ws;
+    for (size_t i = begin; i < end; ++i) {
+      solve_point(freqs[i], ws);
+      out[i] = ws.x[static_cast<size_t>(id - 1)];
+    }
   });
   return out;
 }

@@ -17,6 +17,15 @@ using linalg::MatrixD;
 
 namespace {
 
+// The fixed solver setup (see dc.hpp).
+constexpr int kMaxIterations = 200;
+constexpr double kVTol = 1e-9;         // max node-voltage update [V]
+constexpr double kResidualTol = 1e-9;  // max KCL residual [A]
+constexpr double kDamping = 0.3;       // max node-voltage step per iteration [V]
+constexpr double kVInit = 0.6;         // initial guess for floating nodes [V]
+// gmin homotopy ladder, ending at 0 so the last rung solves the bare circuit.
+constexpr double kGminSteps[] = {1e-3, 1e-5, 1e-7, 1e-9, 1e-12, 0.0};
+
 // MNA unknown layout: node voltages for ids 1..N-1 at [id-1], then one branch
 // current per voltage source at [N-1 + k].
 struct Layout {
@@ -128,14 +137,13 @@ void assemble(const Netlist& nl, const device::Technology& tech,
 
 }  // namespace
 
-DcSolution solve_dc(const Netlist& nl, const device::Technology& tech,
-                    const DcOptions& opt) {
+DcSolution solve_dc(const Netlist& nl, const device::Technology& tech) {
   Layout lay{nl.node_count(), static_cast<int>(nl.vsources().size())};
   if (lay.size() == 0) throw InvalidArgument("solve_dc: empty netlist");
 
   std::vector<double> x(static_cast<size_t>(lay.size()), 0.0);
   for (int id = 1; id < lay.n_nodes; ++id) {
-    x[static_cast<size_t>(lay.v_index(id))] = opt.v_init;
+    x[static_cast<size_t>(lay.v_index(id))] = kVInit;
   }
   // Seed voltage-source-driven nodes at their source value (when grounded on
   // the other side) so the first iterations start near the final bias.
@@ -161,17 +169,14 @@ DcSolution solve_dc(const Netlist& nl, const device::Technology& tech,
       STAT_COUNTER_ADD("spice.dc.gmin_retries", retries);
     }
   } record{total_iterations, gmin_retries};
-  std::vector<double> gmins = opt.gmin_steps;
-  if (gmins.empty() || gmins.back() != 0.0) gmins.push_back(0.0);
-
-  for (double gmin : gmins) {
+  for (double gmin : kGminSteps) {
     bool converged = false;
     try {
       // Injectable Newton failure at this gmin step: exercises exactly the
       // recovery below (retry at the next ladder rung) plus, at gmin == 0,
       // the caller-facing ConvergenceError path.
       FAULT_SITE_AS("spice.dc.newton", ConvergenceError);
-      for (int it = 0; it < opt.max_iterations; ++it) {
+      for (int it = 0; it < kMaxIterations; ++it) {
         ++total_iterations;
         Assembler as(lay);
         assemble(nl, tech, lay, x, gmin, as);
@@ -192,7 +197,7 @@ DcSolution solve_dc(const Netlist& nl, const device::Technology& tech,
         double max_dv = 0.0;
         for (int r = 0; r < lay.n_nodes - 1; ++r) {
           double step = -dx[static_cast<size_t>(r)];
-          step = std::clamp(step, -opt.damping, opt.damping);
+          step = std::clamp(step, -kDamping, kDamping);
           x[static_cast<size_t>(r)] += step;
           max_dv = std::max(max_dv, std::fabs(step));
         }
@@ -200,7 +205,7 @@ DcSolution solve_dc(const Netlist& nl, const device::Technology& tech,
           x[static_cast<size_t>(r)] -= dx[static_cast<size_t>(r)];
         }
 
-        if (max_dv < opt.v_tol && max_resid < opt.residual_tol) {
+        if (max_dv < kVTol && max_resid < kResidualTol) {
           converged = true;
           break;
         }

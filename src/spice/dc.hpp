@@ -5,6 +5,13 @@
 // unknowns) so a dense Jacobian with LU solves is the right tool.  Robustness
 // comes from update damping plus gmin stepping, which is sufficient for the
 // stacked-transistor OTA topologies in this repository.
+//
+// Every solve runs one fixed setup, as the paper runs every Spectre
+// simulation with one: floating nodes start at 0.6 V, each Newton update is
+// clamped to 0.3 V per node, and a rung converges when both the largest node
+// update and the largest KCL residual fall below 1e-9 (V, A) within 200
+// iterations.  The gmin ladder adds 1e-3, 1e-5, 1e-7, 1e-9, 1e-12 and
+// finally 0 S from every node to ground, each rung warm-starting the next.
 #pragma once
 
 #include <map>
@@ -16,17 +23,6 @@
 #include "device/technology.hpp"
 
 namespace ota::spice {
-
-struct DcOptions {
-  int max_iterations = 200;
-  double v_tol = 1e-9;         ///< max node-voltage update for convergence [V]
-  double residual_tol = 1e-9;  ///< max KCL residual for convergence [A]
-  double damping = 0.3;        ///< max node-voltage step per iteration [V]
-  double v_init = 0.6;         ///< initial guess for floating node voltages [V]
-  /// gmin homotopy schedule; each entry adds a conductance from every node to
-  /// ground, warm-starting the next (smaller) step.  Last entry should be 0.
-  std::vector<double> gmin_steps{1e-3, 1e-5, 1e-7, 1e-9, 1e-12, 0.0};
-};
 
 /// Converged DC solution.
 struct DcSolution {
@@ -48,7 +44,7 @@ struct DcSolution {
 
 /// Solves the DC operating point; throws ConvergenceError on failure.
 DcSolution solve_dc(const circuit::Netlist& netlist,
-                    const device::Technology& tech, const DcOptions& opt = {});
+                    const device::Technology& tech);
 
 /// Small-signal parameters of every MOSFET at a DC solution, keyed by device
 /// name.  This is what the data-generation stage records per design.

@@ -1,12 +1,14 @@
 // Frequency-response measurements: the three performance metrics of the paper
 // (DC gain, 3 dB bandwidth, unity-gain frequency) plus phase margin.
 //
-// All measurements ride the batched AC path: one coarse log-spaced
-// transfer_sweep() covers the whole [f_low, f_high] scan (shared by the gain
-// readout and both crossing searches), and only the final bisection
-// refinements solve individual points.  Everything runs on the calling
-// thread: measurements execute inside outer parallel regions (dataset
-// generation, campaign evaluation), which already fill the workers.
+// Every measurement runs one fixed setup, as the paper runs every Spectre
+// simulation with one.  A coarse scan solves 97 points from 1 Hz to 1 THz at
+// 8 points per decade (1 Hz stands in for DC); it serves the gain readout
+// and both crossing searches.  Each crossing is then refined by bisection in
+// log-frequency until the bracket's relative width is at most 1e-6.  Every
+// point is one AcAnalysis::transfer() on the calling thread: measurements
+// execute inside outer parallel regions (dataset generation, campaign
+// evaluation, baseline populations), which already fill the workers.
 #pragma once
 
 #include <optional>
@@ -26,23 +28,14 @@ struct AcMetrics {
   double phase_margin_deg = 0.0;  ///< 180 + phase at the UGF [deg]; 0 if no UGF
 };
 
-struct MeasureOptions {
-  double f_low = 1.0;       ///< frequency standing in for DC [Hz]
-  double f_high = 1e12;     ///< upper limit of crossover searches [Hz]
-  int points_per_decade = 8;  ///< coarse-scan density before bisection
-  double rel_tol = 1e-6;    ///< bisection relative frequency tolerance
-};
-
 /// Measures gain / BW / UGF / PM at the named output node over one coarse
-/// sweep call plus bisection refinements.
-AcMetrics measure_ac(const AcAnalysis& ac, const std::string& output_node,
-                     const MeasureOptions& opt = {});
+/// scan plus bisection refinements.
+AcMetrics measure_ac(const AcAnalysis& ac, const std::string& output_node);
 
-/// Finds the frequency at which |H| crosses `target` (falling), between
-/// f_low and f_high, or nullopt when no crossing exists.
+/// Finds the frequency at which |H| crosses `target` (falling) within the
+/// scan range, or nullopt when no crossing exists.
 std::optional<double> find_falling_crossing(const AcAnalysis& ac,
                                             const std::string& output_node,
-                                            double target,
-                                            const MeasureOptions& opt = {});
+                                            double target);
 
 }  // namespace ota::spice

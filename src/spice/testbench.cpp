@@ -65,17 +65,16 @@ EvalResult operating_point(const circuit::Topology& topo,
 }
 
 void measure(const circuit::Topology& topo, const device::Technology& tech,
-             EvalResult& r, const MeasureOptions& opt) {
+             EvalResult& r) {
   const AcAnalysis ac(topo.netlist, tech, r.dc);
-  r.metrics = measure_ac(ac, topo.output_node, opt);
+  r.metrics = measure_ac(ac, topo.output_node);
 }
 
 EvalResult evaluate(circuit::Topology& topo, const device::Technology& tech,
-                    const std::vector<double>& widths,
-                    const MeasureOptions& opt) {
+                    const std::vector<double>& widths) {
   topo.apply_widths(widths);
   EvalResult r = operating_point(topo, tech);
-  measure(topo, tech, r, opt);
+  measure(topo, tech, r);
   return r;
 }
 

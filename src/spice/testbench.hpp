@@ -6,9 +6,9 @@
 // regions; measure() runs the AC measurement at that operating point.
 // evaluate() applies widths and runs both.  The AC phase is about 90% of an
 // evaluation, so callers that filter on regions (dataset generation, the
-// ICMR sweep) run operating_point() alone and measure only what passes.  The
-// AC measurement rides the batched sweep engine (one coarse transfer_sweep
-// per measurement on the calling thread, see spice/measure.hpp).
+// ICMR sweep) run operating_point() alone and measure only what passes.
+// Both phases run minispice's one fixed setup (dc.hpp, measure.hpp) on the
+// calling thread.
 #pragma once
 
 #include <map>
@@ -40,13 +40,12 @@ EvalResult operating_point(const circuit::Topology& topology,
 /// `r.metrics`.  `r` must come from operating_point() on this topology at its
 /// current widths.  Throws ConvergenceError when an AC solve is singular.
 void measure(const circuit::Topology& topology, const device::Technology& tech,
-             EvalResult& r, const MeasureOptions& opt = {});
+             EvalResult& r);
 
 /// Applies `widths` (one per match group) and runs both phases.  Throws
 /// ConvergenceError when the DC solve fails.
 EvalResult evaluate(circuit::Topology& topology, const device::Technology& tech,
-                    const std::vector<double>& widths,
-                    const MeasureOptions& opt = {});
+                    const std::vector<double>& widths);
 
 /// Input common-mode range: sweeps the input common mode in steps of `v_step`
 /// and returns the [lo, hi] window over which every required device stays in

@@ -12,7 +12,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <optional>
 
+#include "common/fault.hpp"
 #include "common/stats.hpp"
 #include "core/copilot.hpp"
 #include "core/metrics.hpp"
@@ -227,6 +229,43 @@ class ConstantPredictor : public Predictor {
  private:
   std::string reply_;
 };
+
+// Delegates to the NN predictor, but its second call makes every DC Newton
+// rung fail, so the second verification cannot simulate its widths.  The
+// spec is cleared when the predictor goes out of scope.
+class FailSecondVerificationPredictor : public Predictor {
+ public:
+  explicit FailSecondVerificationPredictor(const NearestNeighborPredictor& nn)
+      : nn_(nn) {}
+
+  std::string predict(const std::string& encoder_text, int max_tokens,
+                      const CancelToken& = {}) const override {
+    if (++calls_ == 2) faults_.emplace("spice.dc.newton:every=1");
+    return nn_.predict(encoder_text, max_tokens);
+  }
+
+ private:
+  const NearestNeighborPredictor& nn_;
+  mutable int calls_ = 0;
+  mutable std::optional<fault::ScopedFaults> faults_;
+};
+
+TEST_F(PipelineTest, CopilotReportsNoSpecsWhenTheLastVerificationFails) {
+  // Iteration 1 verifies and misses the unreachable target; iteration 2's
+  // widths cannot be simulated.  The outcome must not pair those widths
+  // with iteration 1's specs.
+  const NearestNeighborPredictor nn(*builder_, dataset_->designs);
+  const FailSecondVerificationPredictor pred(nn);
+  SizingCopilot copilot(*topo_, *tech_, *builder_, pred, *luts_);
+  CopilotOptions opt;
+  opt.max_iterations = 2;
+  const SizingOutcome o = copilot.size(Specs{60.0, 50e6, 5e9}, opt);
+  EXPECT_EQ(o.spice_simulations, 2);
+  EXPECT_FALSE(o.success);
+  EXPECT_EQ(o.achieved.gain_db, 0.0);
+  EXPECT_EQ(o.achieved.bw_hz, 0.0);
+  EXPECT_EQ(o.achieved.ugf_hz, 0.0);
+}
 
 TEST_F(PipelineTest, CopilotMissTightensRequestThenRecovers) {
   // Target the strongest design's specs (slightly relaxed) but make the
