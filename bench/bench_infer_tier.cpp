@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "common/stats.hpp"
 #include "core/dataset.hpp"
 #include "ml/infer.hpp"
 #include "ml/precision.hpp"
@@ -107,10 +108,19 @@ int main() {
 
   // Gate 1: token agreement.  The double pass is the reference; the float32
   // pass must reproduce its streams exactly.  Both decoded serially (an
-  // inline pool) so the comparison is pure kernel numerics.
+  // inline pool) so the comparison is pure kernel numerics.  The double pass
+  // also counts its stacked group steps: serially, one per round, so the
+  // count is the longest decode's step count.  A batch that stepped each
+  // request alone would count decode_steps_per_pass instead.
   par::ThreadPool serial(1);
-  const auto ref = engine.greedy_decode_batch(srcs, max_tokens,
-                                              ml::Precision::kDouble, serial);
+  std::vector<std::vector<nlp::TokenId>> ref;
+  uint64_t group_steps = 0;
+  {
+    const stats::ScopedStats scoped;
+    ref = engine.greedy_decode_batch(srcs, max_tokens, ml::Precision::kDouble,
+                                     serial);
+    group_steps = stats::snapshot()["ml.engine.group_steps"].count;
+  }
   const auto f32 = engine.greedy_decode_batch(srcs, max_tokens,
                                               ml::Precision::kFloat32, serial);
   bool agree = ref.size() == f32.size();
@@ -155,9 +165,11 @@ int main() {
               double_rate, "1.00x");
   std::printf("%10s %9.3fs %12.0f %8.2fx\n", "float32", f32_seconds, f32_rate,
               speedup);
-  std::printf("agreement: %s over %d probes (%lld decode steps/pass)\n",
+  std::printf("agreement: %s over %d probes (%lld decode steps/pass, "
+              "%llu group steps)\n",
               agree ? "token-identical" : "DIVERGED", n_probes,
-              static_cast<long long>(steps));
+              static_cast<long long>(steps),
+              static_cast<unsigned long long>(group_steps));
   std::printf("determinism: %s\n",
               deterministic ? "bit-identical run to run" : "NON-DETERMINISTIC");
 
@@ -169,6 +181,7 @@ int main() {
                        .num("probes", n_probes)
                        .num("max_tokens", max_tokens)
                        .num("decode_steps_per_pass", steps)
+                       .num("batch_group_steps", group_steps)
                        .num("repeats", repeats)
                        .num("double_seconds", double_seconds, "%.4f")
                        .num("f32_seconds", f32_seconds, "%.4f")

@@ -13,7 +13,8 @@ Field policy (what "worse" means):
   invalidates every comparison, so the diff refuses to compare apples to
   pears and tells you to refresh the baselines instead.  STRICT_KEYS also
   holds deterministic work counters (training GEMM calls, fixed-budget
-  datagen attempts, AC measurements and Newton iterations): they do not
+  datagen attempts, AC measurements and Newton iterations, the decode
+  batch's stacked group steps): they do not
   depend on the host, so any change is real and must be re-baselined on
   purpose.
 * In-process ratio fields (*speedup*, decode_occupancy) gate throughput:
@@ -58,7 +59,7 @@ STRICT_KEYS = {
     "campaign_server": ["campaigns", "workers", "overload_attempts",
                         "overload_queue_cap"],
     "infer_tier": ["probes", "max_tokens", "decode_steps_per_pass",
-                   "repeats"],
+                   "batch_group_steps", "repeats"],
     "fault_storm": ["campaigns", "served", "failed", "retried", "recovered",
                     "degrade_campaigns", "degrade_failed"],
 }
@@ -220,8 +221,8 @@ def run_diff(args):
 def self_test():
     """Proves the gate actually gates: a clean pair passes, a regressed ratio
     fails, a flipped correctness bool fails, drifted config or a changed work
-    counter fails, and a missing fresh snapshot fails; a drop in an absolute
-    rate alone passes."""
+    counter fails (a decode batch that steps each request alone, too), and a
+    missing fresh snapshot fails; a drop in an absolute rate alone passes."""
     baseline = {
         "bench": "train_runtime", "scale": "small", "smoke": True,
         "corpus_pairs": 48, "epochs": 2, "batch_size": 16,
@@ -235,25 +236,32 @@ def self_test():
         ],
     }
 
+    infer_baseline = {
+        "bench": "infer_tier", "scale": "small", "smoke": True,
+        "probes": 8, "max_tokens": 96, "decode_steps_per_pass": 768,
+        "batch_group_steps": 96, "repeats": 2,
+        "f32_speedup": 1.67, "token_agreement": True, "deterministic": True,
+    }
+
     def run_case(name, mutate, expect_fail, allow_missing=False,
-                 write_current=True):
+                 write_current=True, bench="train", base=baseline):
+        snapshot = f"BENCH_{bench}.json"
         with tempfile.TemporaryDirectory() as tmp:
             base_dir = os.path.join(tmp, "base")
             cur_dir = os.path.join(tmp, "cur")
             os.makedirs(base_dir)
             os.makedirs(cur_dir)
-            with open(os.path.join(base_dir, "BENCH_train.json"), "w") as f:
-                json.dump(baseline, f)
-            current = json.loads(json.dumps(baseline))  # deep copy
+            with open(os.path.join(base_dir, snapshot), "w") as f:
+                json.dump(base, f)
+            current = json.loads(json.dumps(base))  # deep copy
             mutate(current)
             if write_current:
-                with open(os.path.join(cur_dir, "BENCH_train.json"),
-                          "w") as f:
+                with open(os.path.join(cur_dir, snapshot), "w") as f:
                     json.dump(current, f)
             args = argparse.Namespace(
                 baseline_dir=base_dir, current_dir=cur_dir,
                 tolerance=0.35, report=None, allow_missing=allow_missing,
-                benches=["train"])
+                benches=[bench])
             rc = run_diff(args)
             failed = rc != 0
             status = "ok" if failed == expect_fail else "SELF-TEST BROKEN"
@@ -286,6 +294,10 @@ def self_test():
     ok &= run_case(
         "changed work counter fails",
         lambda c: c.update(gemm_tn_calls=8749), True)
+    ok &= run_case(
+        "decode batch stepping each request alone fails",
+        lambda c: c.update(batch_group_steps=c["decode_steps_per_pass"]),
+        True, bench="infer", base=infer_baseline)
     ok &= run_case(
         "config (scale) drift fails",
         lambda c: c.update(scale="paper"), True)

@@ -128,10 +128,4 @@ class LuDecomposition {
   std::vector<size_t> perm_;
 };
 
-/// One-shot convenience: solves A x = b.
-template <typename T>
-std::vector<T> solve(Matrix<T> a, const std::vector<T>& b) {
-  return LuDecomposition<T>(std::move(a)).solve(b);
-}
-
 }  // namespace ota::linalg

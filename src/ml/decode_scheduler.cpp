@@ -256,34 +256,68 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
   }
   queue_lk.unlock();
 
-  // Session construction (the encode pass) runs outside the queue lock so
-  // submitters are never blocked behind it.  A request the engine refuses
-  // (empty input, over-long input) fails its ticket here; one cancelled
-  // between the sweep above and now resolves without paying the encode.
-  for (auto& t : admitted) {
-    ActiveRequest a;
-    a.ticket = std::move(t);
-    if (cancel_if_fired(*a.ticket, "before decoding")) {
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++stats_.cancelled;
-      }
-      publish(a.ticket);
-      continue;
-    }
-    try {
-      FAULT_SITE("ml.session.encode");
-      a.session = std::make_unique<InferenceEngine::Session>(
-          engine_, a.ticket->src, opt_.precision);
-      active.push_back(std::move(a));
-    } catch (...) {
-      a.ticket->error = std::current_exception();
+  // Admission runs outside the queue lock so submitters are never blocked
+  // behind it.  A ticket that leaves here unserved is counted before it is
+  // published, and its slot is emptied.
+  const auto resolve = [this](std::shared_ptr<Ticket>& t,
+                              uint64_t Stats::*counter) {
+    {
       std::lock_guard<std::mutex> lk(mu_);
-      ++stats_.failed;
-      publish(a.ticket);
+      ++(stats_.*counter);
     }
+    publish(t);
+    t.reset();
+  };
+  if (!admitted.empty()) {
+    STAT_REGION("ml.scheduler.admit");
+    // First, in FIFO order on this thread, the cancel check and the encode
+    // fault site: a request cancelled since the sweep above resolves
+    // without paying the encode, and a poisoned encode fails its own ticket.
+    for (auto& t : admitted) {
+      if (cancel_if_fired(*t, "before decoding")) {
+        resolve(t, &Stats::cancelled);
+        continue;
+      }
+      try {
+        FAULT_SITE("ml.session.encode");
+      } catch (...) {
+        t->error = std::current_exception();
+        resolve(t, &Stats::failed);
+      }
+    }
+    // Then the sessions (the encode pass) are built on the pool, each into
+    // its own slot.  A request the engine refuses (empty input, over-long
+    // input) fails its ticket; the rest join the batch in FIFO order.
+    std::vector<std::unique_ptr<InferenceEngine::Session>> sessions(
+        admitted.size());
+    pool_.parallel_for(admitted.size(), [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        if (!admitted[i]) continue;
+        try {
+          sessions[i] = std::make_unique<InferenceEngine::Session>(
+              engine_, admitted[i]->src, opt_.precision);
+        } catch (...) {
+          // Pre-publication the ticket belongs to the scheduler.
+          admitted[i]->error = std::current_exception();
+        }
+      }
+    });
+    uint64_t joined = 0;
+    for (size_t i = 0; i < admitted.size(); ++i) {
+      if (!admitted[i]) continue;
+      if (!sessions[i]) {
+        resolve(admitted[i], &Stats::failed);
+        continue;
+      }
+      ActiveRequest a;
+      a.ticket = std::move(admitted[i]);
+      a.session = std::move(sessions[i]);
+      active.push_back(std::move(a));
+      ++joined;
+    }
+    admitted.clear();
+    STAT_COUNTER_ADD("ml.scheduler.admitted", joined);
   }
-  admitted.clear();
   if (active.empty()) return true;
 
   // Mid-flight cancellation: a live sequence whose token fired retires from
@@ -306,25 +340,38 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
   FAULT_SITE("ml.scheduler.round");
 
   // One continuous-batching round: every live session advances one token
-  // by greedy_step, fanned out across the pool.  Each worker touches only
-  // its own caller-indexed requests, so the per-request token stream is
-  // exactly greedy_decode's whatever the interleaving.
+  // by the greedy rule, fanned out across the pool, and each chunk steps its
+  // live sessions as one group.  Each worker touches only its own
+  // caller-indexed requests, and a row's numbers depend on its own session
+  // alone, so the per-request token stream is exactly greedy_decode's
+  // whatever the interleaving or grouping.
   STAT_REGION("ml.scheduler.round");
   STAT_COUNTER_ADD("ml.scheduler.batch_sessions", batch);
   pool_.parallel_for(active.size(), [&](size_t begin, size_t end) {
+    // Pre-publication the ticket's token buffer belongs to the scheduler;
+    // waiters read it only after publish().
+    std::vector<InferenceEngine::GreedyRow> rows;
+    rows.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
       ActiveRequest& a = active[i];
-      if (a.finished) continue;  // cancelled above: do not step it
+      InferenceEngine::GreedyRow& row = rows.emplace_back(
+          a.session.get(), &a.ticket->tokens, a.ticket->max_tokens);
+      row.live = !a.finished;  // cancelled above: do not step it
+      if (!row.live) continue;
       try {
-        FAULT_SITE("ml.session.step");
-        // Pre-publication the ticket's token buffer belongs to the
-        // scheduler; waiters read it only after publish().
-        a.finished =
-            !a.session->greedy_step(a.ticket->tokens, a.ticket->max_tokens);
+        FAULT_SITE("ml.session.step");  // per row, before it joins the group
       } catch (...) {
-        a.ticket->error = std::current_exception();
-        a.finished = true;
+        row.error = std::current_exception();
+        row.live = false;
       }
+    }
+    InferenceEngine::Session::greedy_step_group(rows);
+    for (size_t i = begin; i < end; ++i) {
+      ActiveRequest& a = active[i];
+      const InferenceEngine::GreedyRow& row = rows[i - begin];
+      if (a.finished) continue;
+      if (row.error) a.ticket->error = row.error;
+      a.finished = !row.live;
     }
   });
 

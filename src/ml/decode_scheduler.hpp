@@ -1,6 +1,6 @@
 // Continuous batching for the KV-cache inference engine.
 //
-// greedy_decode_batch parallelizes one caller's batch, but a server with many
+// greedy_decode_batch decodes one caller's batch, but a server with many
 // concurrent campaigns issues its decodes one request at a time from many
 // threads — under that load the engine would decode batches of one and sit
 // mostly idle.  DecodeScheduler is the LLM-serving-style answer: callers
@@ -10,16 +10,21 @@
 // incremental Sessions.  Batching is continuous, at token granularity:
 // requests join the running batch as they arrive (up to max_batch) and
 // finished sequences retire immediately — no waiting for stragglers, no
-// fixed batch boundaries.
+// fixed batch boundaries.  Admission builds the joining sessions (the encode
+// pass) on the pool; each round is one parallel_for over the live sessions,
+// and each chunk steps its sessions as one group
+// (Session::greedy_step_group), so the rows of a chunk share every weight
+// sweep.
 //
 // Determinism contract (property-tested under the DeterminismTest umbrella):
 // a request's result is bit-identical to InferenceEngine::greedy_decode of
 // the same (src, max_tokens) — regardless of arrival order, batch
 // composition, or pool width.  This falls out of the architecture rather
 // than of careful scheduling: each request decodes through its own Session
-// (private KV cache, one Session::greedy_step per round: greedy_decode's
-// rule), and sessions never read each other's state, so WHAT is computed is
-// independent of WHEN the scheduler interleaves it.
+// (private KV cache, greedy_decode's greedy rule once per round).  Rows of a
+// group share the GEMM-style weight sweeps but no row reads another's state,
+// and each row's numbers are those of its session stepped alone, so WHAT is
+// computed is independent of WHEN, or with whom, the scheduler steps it.
 #pragma once
 
 #include <condition_variable>
@@ -77,8 +82,8 @@ class DecodeScheduler {
     CancelToken cancel;  ///< the submitter's; read once per round
   };
 
-  /// Spawns the scheduler thread.  Each round's sessions step in parallel
-  /// on `pool`.  `engine` and `pool` must outlive the scheduler.  Throws
+  /// Spawns the scheduler thread.  Admission encodes and each round's
+  /// groups step in parallel on `pool`.  `engine` and `pool` must outlive the scheduler.  Throws
   /// InvalidArgument for opt.max_batch < 1 or a forged opt.precision —
   /// before any thread is spawned.
   /// (Two overloads rather than a defaulted Options argument: a nested
@@ -120,7 +125,7 @@ class DecodeScheduler {
     uint64_t failed = 0;        ///< tickets resolved with an error
     uint64_t cancelled = 0;     ///< tickets resolved with Cancelled
     uint64_t rounds = 0;        ///< scheduler rounds that stepped >= 1 session
-    uint64_t session_steps = 0; ///< total single-session token steps
+    uint64_t session_steps = 0; ///< total session token steps (rows)
     uint64_t peak_batch = 0;    ///< widest dynamic batch observed
     /// Per-tier split of session_steps (tokens_double + tokens_f32 ==
     /// session_steps), so serving dashboards can see which tier paid for

@@ -1,10 +1,12 @@
 #include "ml/infer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <string>
 #include <type_traits>
 
+#include "common/stats.hpp"
 
 namespace ota::ml {
 
@@ -14,9 +16,9 @@ using nlp::Vocabulary;
 // Every loop in this file replicates the accumulation order of the reference
 // Var ops (ml/ops.cpp) and of the NN GEMM kernel (ml/tensor.cpp), so that the
 // engine's floating-point results are bit-identical to the autograd path's.
-// The row kernels also skip multipliers that are exactly zero, which the
-// reference does not; a zero product never changes a finite sum that starts
-// at +0.  Do not "clean up" loop orders or hoist terms here without
+// The row kernels also skip some multipliers that are exactly zero, which
+// the reference does not; a zero product never changes a finite sum that
+// starts at +0.  Do not "clean up" loop orders or hoist terms here without
 // re-running the bit-identity properties in tests/test_infer.cpp.
 //
 // Everything below is templated on the scalar, so the float32 serving tier
@@ -63,18 +65,67 @@ inline float dot_row(const float* a, const float* b, int64_t n) {
   return (s0 + s1) + (s2 + s3);
 }
 
-/// out = x * W for one row x (length k) in the NN GEMM kernel's order
-/// (p-outer / j-inner), skipping zero multipliers.
+/// The tier-T member of a double/float pair (weights or session state).
+template <typename T, typename F64, typename F32>
+auto& of_tier(F64& f64, F32& f32) {
+  if constexpr (std::is_same_v<T, double>) {
+    return f64;
+  } else {
+    return f32;
+  }
+}
+
+/// Sessions per stacked tile of a group step.
+constexpr size_t kTileRows = 4;
+
+/// One pointer per row of a tile: the rows a projection reads or writes.
 template <typename T>
-void project_row(const T* x, const BasicTensor<T>& w, T* out) {
+using TileRows = std::array<T*, kTileRows>;
+
+/// out[r] = x[r] * W for rows [0, rows) of a tile, each output element
+/// summed p-ascending from +0 as the NN GEMM kernel sums it.  Four weight
+/// rows are applied to every row of the tile while they are cache-hot, so
+/// the matrix streams once per tile, and each output element is loaded and
+/// stored once per four products, which are still added one after another.
+/// A block of four zero multipliers is skipped; a lone zero product is
+/// added, which cannot change a finite sum that starts at +0.
+template <typename T>
+void project_rows(const TileRows<T>& x, const BasicTensor<T>& w,
+                  const TileRows<T>& out, size_t rows) {
   const int64_t k = w.rows(), n = w.cols();
-  std::fill(out, out + n, T(0));
-  for (int64_t p = 0; p < k; ++p) {
-    const T xv = x[p];
-    if (xv == T(0)) continue;
-    const T* wrow = w.data().data() + p * n;
+  const T* wd = w.data().data();
+  for (size_t r = 0; r < rows; ++r) std::fill(out[r], out[r] + n, T(0));
+  int64_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+    const T* w0 = wd + p * n;
+    const T* w1 = w0 + n;
+    const T* w2 = w1 + n;
+    const T* w3 = w2 + n;
+    for (size_t r = 0; r < rows; ++r) {
+      const T a0 = x[r][p], a1 = x[r][p + 1], a2 = x[r][p + 2],
+              a3 = x[r][p + 3];
+      if (a0 == T(0) && a1 == T(0) && a2 == T(0) && a3 == T(0)) continue;
+      T* o = out[r];
 #pragma omp simd
-    for (int64_t j = 0; j < n; ++j) out[j] += xv * wrow[j];
+      for (int64_t j = 0; j < n; ++j) {
+        T v = o[j];
+        v += a0 * w0[j];
+        v += a1 * w1[j];
+        v += a2 * w2[j];
+        v += a3 * w3[j];
+        o[j] = v;
+      }
+    }
+  }
+  for (; p < k; ++p) {
+    const T* wrow = wd + p * n;
+    for (size_t r = 0; r < rows; ++r) {
+      const T xv = x[r][p];
+      if (xv == T(0)) continue;
+      T* o = out[r];
+#pragma omp simd
+      for (int64_t j = 0; j < n; ++j) o[j] += xv * wrow[j];
+    }
   }
 }
 
@@ -292,6 +343,7 @@ void InferenceEngine::Session::start(State<T>& s, const TierWeights<T>& w,
   s.row.resize(d);
   s.ctx.resize(d);
   s.out.resize(d);
+  s.ff.resize(static_cast<size_t>(eng_.cfg_.d_ff));
   s.logits.resize(static_cast<size_t>(eng_.cfg_.vocab_size));
   for (size_t l = 0; l < layers; ++l) {
     // The reference recomputes K/V from the (fixed) memory every step; the
@@ -301,40 +353,97 @@ void InferenceEngine::Session::start(State<T>& s, const TierWeights<T>& w,
   }
 }
 
-const Tensor& InferenceEngine::Session::step(TokenId token) {
+std::exception_ptr InferenceEngine::Session::refusal(TokenId token) const {
   const TransformerConfig& cfg = eng_.cfg_;
   if (length_ + 1 > cfg.max_len) {
-    throw InvalidArgument(
+    return std::make_exception_ptr(InvalidArgument(
         "InferenceEngine::Session::step: decoder length " +
         std::to_string(length_ + 1) + " exceeds the positional table (max_len " +
-        std::to_string(cfg.max_len) + ")");
+        std::to_string(cfg.max_len) + ")"));
   }
   if (token < 0 || token >= cfg.vocab_size) {
-    throw InvalidArgument("InferenceEngine::Session::step: token id out of range");
+    return std::make_exception_ptr(InvalidArgument(
+        "InferenceEngine::Session::step: token id out of range"));
   }
-  if (precision_ == Precision::kDouble) {
-    advance(f64_, eng_.f64_, token);
-  } else {
-    advance(f32_, eng_.f32_, token);
+  return nullptr;
+}
+
+/// Queues the checked rows of one group step and advances them kTileRows at
+/// a time.  Every row must belong to one engine and one tier.
+class InferenceEngine::Session::Tile {
+ public:
+  void add(Session& session, TokenId token) {
+    sessions_[size_] = &session;
+    tokens_[size_] = token;
+    if (++size_ == kTileRows) flush();
   }
-  ++length_;
+
+  /// Steps the rows still queued and counts the group step, if any row
+  /// stepped.
+  void finish() {
+    flush();
+    if (stepped_) STAT_COUNTER("ml.engine.group_steps");
+  }
+
+ private:
+  void flush() {
+    if (size_ == 0) return;
+    const std::span<Session* const> tile(sessions_.data(), size_);
+    const std::span<const TokenId> tokens(tokens_.data(), size_);
+    if (sessions_[0]->precision_ == Precision::kDouble) {
+      advance<double>(tile, tokens);
+    } else {
+      advance<float>(tile, tokens);
+    }
+    size_ = 0;
+    stepped_ = true;
+  }
+
+  std::array<Session*, kTileRows> sessions_{};
+  std::array<TokenId, kTileRows> tokens_{};
+  size_t size_ = 0;
+  bool stepped_ = false;
+};
+
+const Tensor& InferenceEngine::Session::step(TokenId token) {
+  if (std::exception_ptr error = refusal(token)) std::rethrow_exception(error);
+  Tile tile;
+  tile.add(*this, token);
+  tile.finish();
   return logits_;
 }
 
 template <typename T>
-void InferenceEngine::Session::advance(State<T>& s, const TierWeights<T>& w,
-                                       TokenId token) {
-  const int64_t d = eng_.cfg_.d_model;
+void InferenceEngine::Session::advance(std::span<Session* const> tile,
+                                       std::span<const TokenId> tokens) {
+  const InferenceEngine& eng = tile[0]->eng_;
+  const TierWeights<T>& w = of_tier<T>(eng.f64_, eng.f32_);
+  const int64_t d = eng.cfg_.d_model;
   const T sqrt_d = std::sqrt(static_cast<T>(d));
-  std::vector<T>& x = s.x;
-  std::vector<T>& row = s.row;
-  std::vector<T>& ctx = s.ctx;
-  std::vector<T>& out = s.out;
-  std::vector<T>& ff = s.ff;
-  for (int64_t c = 0; c < d; ++c) {
-    x[static_cast<size_t>(c)] =
-        w.tgt_embed(token, c) * sqrt_d + w.pos(length_, c);
+  const size_t rows = tile.size();
+  std::array<State<T>*, kTileRows> st{};
+  TileRows<T> x{}, row{}, ctx{}, out{}, ff{}, logits{};
+  for (size_t r = 0; r < rows; ++r) {
+    st[r] = &of_tier<T>(tile[r]->f64_, tile[r]->f32_);
+    x[r] = st[r]->x.data();
+    row[r] = st[r]->row.data();
+    ctx[r] = st[r]->ctx.data();
+    out[r] = st[r]->out.data();
+    ff[r] = st[r]->ff.data();
+    logits[r] = st[r]->logits.data();
+    const int64_t pos = tile[r]->length_;
+    for (int64_t c = 0; c < d; ++c) {
+      x[r][c] = w.tgt_embed(tokens[r], c) * sqrt_d + w.pos(pos, c);
+    }
   }
+  const auto add_norm = [&](const BasicTensor<T>& bias,
+                            const LayerNormWeights<BasicTensor<T>>& norm) {
+    for (size_t r = 0; r < rows; ++r) {
+      add_bias_row(out[r], bias);
+      for (int64_t c = 0; c < d; ++c) x[r][c] += out[r][c];
+      layer_norm_row(x[r], d, norm);
+    }
+  };
 
   for (size_t l = 0; l < w.decoder.size(); ++l) {
     const DecoderLayerWeights<BasicTensor<T>>& layer = w.decoder[l];
@@ -342,45 +451,52 @@ void InferenceEngine::Session::advance(State<T>& s, const TierWeights<T>& w,
     // Masked self-attention: project this position's K/V once, append to the
     // cache, attend the query against every cached position.  The causal mask
     // is implicit — the cache only holds positions <= this one.
-    project_row(x.data(), layer.self.wk, row.data());
-    s.self_k[l].insert(s.self_k[l].end(), row.begin(), row.end());
-    project_row(x.data(), layer.self.wv, row.data());
-    s.self_v[l].insert(s.self_v[l].end(), row.begin(), row.end());
-    project_row(x.data(), layer.self.wq, row.data());
-    attend_row(row.data(), s.self_k[l].data(), s.self_v[l].data(), length_ + 1,
-               d, eng_.d_head_, ctx.data(), s.scores);
-    project_row(ctx.data(), layer.self.wo, out.data());
-    add_bias_row(out.data(), layer.self.bo);
-    for (int64_t c = 0; c < d; ++c) x[static_cast<size_t>(c)] += out[static_cast<size_t>(c)];
-    layer_norm_row(x.data(), d, layer.norm1);
+    project_rows(x, layer.self.wk, row, rows);
+    for (size_t r = 0; r < rows; ++r) {
+      st[r]->self_k[l].insert(st[r]->self_k[l].end(), row[r], row[r] + d);
+    }
+    project_rows(x, layer.self.wv, row, rows);
+    for (size_t r = 0; r < rows; ++r) {
+      st[r]->self_v[l].insert(st[r]->self_v[l].end(), row[r], row[r] + d);
+    }
+    project_rows(x, layer.self.wq, row, rows);
+    for (size_t r = 0; r < rows; ++r) {
+      attend_row(row[r], st[r]->self_k[l].data(), st[r]->self_v[l].data(),
+                 tile[r]->length_ + 1, d, eng.d_head_, ctx[r], st[r]->scores);
+    }
+    project_rows(ctx, layer.self.wo, out, rows);
+    add_norm(layer.self.bo, layer.norm1);
 
     // Cross-attention against the precomputed memory K/V.
-    project_row(x.data(), layer.cross.wq, row.data());
-    attend_row(row.data(), s.cross_k[l].data().data(),
-               s.cross_v[l].data().data(), s.memory.rows(), d, eng_.d_head_,
-               ctx.data(), s.scores);
-    project_row(ctx.data(), layer.cross.wo, out.data());
-    add_bias_row(out.data(), layer.cross.bo);
-    for (int64_t c = 0; c < d; ++c) x[static_cast<size_t>(c)] += out[static_cast<size_t>(c)];
-    layer_norm_row(x.data(), d, layer.norm2);
+    project_rows(x, layer.cross.wq, row, rows);
+    for (size_t r = 0; r < rows; ++r) {
+      attend_row(row[r], st[r]->cross_k[l].data().data(),
+                 st[r]->cross_v[l].data().data(), st[r]->memory.rows(), d,
+                 eng.d_head_, ctx[r], st[r]->scores);
+    }
+    project_rows(ctx, layer.cross.wo, out, rows);
+    add_norm(layer.cross.bo, layer.norm2);
 
     // Position-wise FFN.
-    ff.resize(static_cast<size_t>(layer.ffn.w_in.cols()));
-    project_row(x.data(), layer.ffn.w_in, ff.data());
-    add_bias_row(ff.data(), layer.ffn.b_in);
-    for (T& v : ff) v = v > T(0) ? v : T(0);
-    project_row(ff.data(), layer.ffn.w_out, out.data());
-    add_bias_row(out.data(), layer.ffn.b_out);
-    for (int64_t c = 0; c < d; ++c) x[static_cast<size_t>(c)] += out[static_cast<size_t>(c)];
-    layer_norm_row(x.data(), d, layer.norm3);
+    project_rows(x, layer.ffn.w_in, ff, rows);
+    for (size_t r = 0; r < rows; ++r) {
+      add_bias_row(ff[r], layer.ffn.b_in);
+      for (T& v : st[r]->ff) v = v > T(0) ? v : T(0);
+    }
+    project_rows(ff, layer.ffn.w_out, out, rows);
+    add_norm(layer.ffn.b_out, layer.norm3);
   }
 
-  project_row(x.data(), w.out_w, s.logits.data());
-  add_bias_row(s.logits.data(), w.out_b);
-  // Widening float logits is monotone and tie-preserving, so argmax over the
-  // double row equals argmax over the float row and every decode loop stays
-  // tier-agnostic.
-  std::copy(s.logits.begin(), s.logits.end(), logits_.data().begin());
+  project_rows(x, w.out_w, logits, rows);
+  for (size_t r = 0; r < rows; ++r) {
+    add_bias_row(logits[r], w.out_b);
+    // Widening float logits is monotone and tie-preserving, so argmax over
+    // the double row equals argmax over the float row and every decode loop
+    // stays tier-agnostic.
+    std::copy(st[r]->logits.begin(), st[r]->logits.end(),
+              tile[r]->logits_.data().begin());
+    ++tile[r]->length_;
+  }
 }
 
 TokenId argmax_token(const Tensor& logits) {
@@ -397,25 +513,71 @@ TokenId argmax_token(const Tensor& logits) {
 
 bool InferenceEngine::Session::greedy_step(std::vector<TokenId>& tokens,
                                            int64_t max_tokens) {
-  const TokenId best =
-      argmax_token(step(tokens.empty() ? Vocabulary::kBos : tokens.back()));
-  if (best == Vocabulary::kEos) return false;
-  tokens.push_back(best);
-  // Same step clamp as Transformer::greedy_decode: the decoder input at step
-  // s holds s+1 tokens, so max_len steps keep every position in range.
-  return static_cast<int64_t>(tokens.size()) <
-         std::min(max_tokens, eng_.cfg_.max_len);
+  GreedyRow row(this, &tokens, max_tokens);
+  greedy_step_group({&row, 1});
+  if (row.error) std::rethrow_exception(row.error);
+  return row.live;
 }
 
-std::vector<TokenId> InferenceEngine::greedy_decode(
-    const std::vector<TokenId>& src, int64_t max_len,
-    Precision precision) const {
+void InferenceEngine::Session::greedy_step_group(std::span<GreedyRow> rows) {
+  const Session* first = nullptr;
+  for (const GreedyRow& r : rows) {
+    if (!r.live) continue;
+    if (first == nullptr) first = r.session;
+    if (&r.session->eng_ != &first->eng_ ||
+        r.session->precision_ != first->precision_) {
+      throw InvalidArgument(
+          "InferenceEngine::Session::greedy_step_group: a group's sessions "
+          "must share one engine and one tier");
+    }
+  }
+  const auto fed = [](const GreedyRow& r) {
+    return r.tokens->empty() ? Vocabulary::kBos : r.tokens->back();
+  };
+  Tile tile;
+  for (GreedyRow& r : rows) {
+    if (!r.live) continue;
+    r.error = r.session->refusal(fed(r));
+    if (r.error) {
+      r.live = false;
+    } else {
+      tile.add(*r.session, fed(r));
+    }
+  }
+  tile.finish();
+  for (GreedyRow& r : rows) {
+    if (!r.live) continue;
+    const TokenId best = argmax_token(r.session->logits_);
+    if (best == Vocabulary::kEos) {
+      r.live = false;
+      continue;
+    }
+    r.tokens->push_back(best);
+    // Same step clamp as Transformer::greedy_decode: the decoder input at
+    // step s holds s+1 tokens, so max_len steps keep every position in range.
+    r.live = static_cast<int64_t>(r.tokens->size()) <
+             std::min(r.max_tokens, r.session->eng_.cfg_.max_len);
+  }
+}
+
+namespace {
+
+/// greedy_decode's refusal of a token budget that would decode nothing.
+void check_budget(int64_t max_len) {
   if (max_len <= 0) {
     throw InvalidArgument(
         "InferenceEngine::greedy_decode: max_tokens must be positive, got " +
         std::to_string(max_len) +
         " (a zero token budget would silently decode nothing)");
   }
+}
+
+}  // namespace
+
+std::vector<TokenId> InferenceEngine::greedy_decode(
+    const std::vector<TokenId>& src, int64_t max_len,
+    Precision precision) const {
+  check_budget(max_len);
   Session session(*this, src, precision);
   std::vector<TokenId> out;
   while (session.greedy_step(out, max_len)) {
@@ -427,13 +589,34 @@ std::vector<std::vector<TokenId>> InferenceEngine::greedy_decode_batch(
     const std::vector<std::vector<TokenId>>& srcs, int64_t max_len,
     Precision precision, par::ThreadPool& pool) const {
   std::vector<std::vector<TokenId>> out(srcs.size());
-  // Requests are independent and share only the immutable engine, so the
-  // result is bit-identical for any pool size.
+  if (srcs.empty()) return out;
+  check_budget(max_len);
+  // Each session is built into its own slot; the first failing chunk's
+  // error is rethrown, as greedy_decode would throw it.
+  std::vector<std::unique_ptr<Session>> sessions(srcs.size());
   pool.parallel_for(srcs.size(), [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      out[i] = greedy_decode(srcs[i], max_len, precision);
+      sessions[i] = std::make_unique<Session>(*this, srcs[i], precision);
     }
   });
+  std::vector<GreedyRow> rows;
+  rows.reserve(srcs.size());
+  for (size_t i = 0; i < srcs.size(); ++i) {
+    rows.emplace_back(sessions[i].get(), &out[i], max_len);
+  }
+  // Rounds until every request is done.  A row's tokens depend on its own
+  // session alone, so neither the pool width nor which rows share a chunk
+  // changes a result.
+  while (!rows.empty()) {
+    pool.parallel_for(rows.size(), [&](size_t begin, size_t end) {
+      Session::greedy_step_group(
+          std::span<GreedyRow>(rows).subspan(begin, end - begin));
+    });
+    for (const GreedyRow& r : rows) {
+      if (r.error) std::rethrow_exception(r.error);
+    }
+    std::erase_if(rows, [](const GreedyRow& r) { return !r.live; });
+  }
   return out;
 }
 

@@ -13,24 +13,31 @@
 //  * encode runs once per request and the cross-attention K/V of every
 //    decoder layer are precomputed from the memory;
 //  * decoding is incremental through a per-layer KV cache, so each step is
-//    one-row work — O(L) per token, O(L^2) per sequence;
-//  * greedy_decode_batch decodes many requests concurrently on an ota::par
-//    thread pool (requests share only the immutable engine, so results are
-//    bit-identical for any pool width).
+//    O(L) per token, O(L^2) per sequence;
+//  * a decode step advances a group of sessions together: the group's rows
+//    are stacked in tiles of up to four, and each weight matrix streams once
+//    per tile instead of once per session.  Attention, KV appends and layer
+//    norms stay per row, against each session's own state;
+//  * greedy_decode_batch encodes its requests on an ota::par thread pool,
+//    then steps them in rounds, each chunk of live requests as one group.
 //
 // Numerical contract: the engine's greedy token output is IDENTICAL — token
 // for token, bit for bit — to Transformer::greedy_decode.  Every loop here
 // replicates the accumulation order of the reference ops over the same
-// fused projections.  The engine's row kernels also skip multipliers that
-// are exactly zero, which the reference GEMM does not; a zero product never
-// changes a finite sum that starts at +0, and tests/test_infer.cpp checks
-// the logits bit for bit on trained models.
+// fused projections.  The engine's row kernels also skip some multipliers
+// that are exactly zero, which the reference GEMM does not; a zero product
+// never changes a finite sum that starts at +0, and tests/test_infer.cpp checks
+// the logits bit for bit on trained models.  A row's numbers depend only on
+// that row's inputs, so a session's logits are the same whichever group it
+// steps in, and batch results are bit-identical for any pool width.
 //
 // The float32 serving tier is the float instantiation of the same code: one
 // templated weight copy and one templated step body serve both tiers.
 #pragma once
 
+#include <exception>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ml/precision.hpp"
@@ -83,20 +90,42 @@ class InferenceEngine {
       const std::vector<nlp::TokenId>& src, int64_t max_len,
       Precision precision = Precision::kDouble) const;
 
-  /// Decodes every request independently on `pool` through greedy_decode,
-  /// so a non-empty batch throws what it throws.  Results are positionally
-  /// aligned with `srcs` and bit-identical for any pool width, including an
-  /// inline pool (at either precision tier).
+  /// Decodes every request: builds the sessions on `pool`, then runs
+  /// greedy rounds to completion, each round one parallel_for whose chunks
+  /// step their live requests as one group (Session::greedy_step_group).
+  /// Each result equals greedy_decode of its request, so a non-empty batch
+  /// throws what greedy_decode throws.  Results are positionally aligned
+  /// with `srcs` and bit-identical for any pool width, including an inline
+  /// pool (at either precision tier).
   std::vector<std::vector<nlp::TokenId>> greedy_decode_batch(
       const std::vector<std::vector<nlp::TokenId>>& srcs, int64_t max_len,
       Precision precision = Precision::kDouble,
       par::ThreadPool& pool = par::global_pool()) const;
 
+  class Session;
+
+  /// One request of a greedy group step: greedy_step's arguments, and what
+  /// the step did with them.
+  struct GreedyRow {
+    GreedyRow(Session* s, std::vector<nlp::TokenId>* t, int64_t budget)
+        : session(s), tokens(t), max_tokens(budget) {}
+
+    Session* session;
+    std::vector<nlp::TokenId>* tokens;  ///< greedy_step's `tokens`
+    int64_t max_tokens;                 ///< greedy_step's `max_tokens`
+    /// Only live rows step.  Cleared when the row's greedy_step would return
+    /// false or throw.
+    bool live = true;
+    std::exception_ptr error;  ///< what the row's step threw, if anything
+  };
+
   /// Incremental decoding state for one request: the encoder memory, the
   /// precomputed cross-attention K/V of every decoder layer, and the growing
   /// self-attention KV cache.  step() feeds one token and returns the
-  /// next-token logits row.  Exposed for tests (incremental-vs-full logits
-  /// agreement) and for callers that need the logits, not just the argmax.
+  /// next-token logits row.  A session steps alone (step, greedy_step) or
+  /// with others of the same engine and tier (greedy_step_group); alone is
+  /// the group of one, and the logits are the same either way.  Copyable,
+  /// so a test can step a copy alone and compare.
   class Session {
    public:
     /// `precision` selects the numeric tier for this session's whole decode
@@ -115,9 +144,22 @@ class InferenceEngine {
     /// The one greedy rule: feeds tokens.back() (<bos> while `tokens` is
     /// empty) and appends the argmax.  Returns false on <eos>, which is not
     /// appended, or once tokens.size() reaches min(max_tokens,
-    /// config().max_len).  greedy_decode loops on it; DecodeScheduler calls
-    /// it once per round per live request.
+    /// config().max_len).  greedy_decode loops on it.
     bool greedy_step(std::vector<nlp::TokenId>& tokens, int64_t max_tokens);
+
+    /// greedy_step for every live row, stepped as one group: each weight
+    /// matrix is applied once per tile of up to four rows.  Rows share no
+    /// state, and each row's tokens and logits equal those of its own
+    /// greedy_step.  A row whose step throws (its decoder length would
+    /// exceed the positional table) records the error and stops being
+    /// live; the other rows step.  Every live row must hold a distinct
+    /// session, and all of them must share one engine and one tier (else
+    /// InvalidArgument, before any row steps).  DecodeScheduler and
+    /// greedy_decode_batch call it once per round per chunk of requests.
+    static void greedy_step_group(std::span<GreedyRow> rows);
+
+    /// The logits row of the last step, (1, vocab).
+    const Tensor& logits() const { return logits_; }
 
     /// Number of tokens fed so far.
     int64_t length() const { return length_; }
@@ -127,8 +169,9 @@ class InferenceEngine {
    private:
     /// One tier's decode state: the encoder memory, the cross-attention K/V
     /// of every decoder layer (computed once), the self-attention KV cache
-    /// (row-major, one d_model row appended per step) and scratch rows
-    /// reused across steps (hot path: no per-token allocation).
+    /// (row-major, one d_model row appended per step) and this session's
+    /// rows of a group step, reused across steps (hot path: no per-token
+    /// allocation).
     template <typename T>
     struct State {
       BasicTensor<T> memory;  ///< (L_src, d_model)
@@ -137,11 +180,19 @@ class InferenceEngine {
       std::vector<T> x, row, ctx, out, scores, ff, logits;
     };
 
+    /// Collects the rows of one group step into tiles; defined in infer.cpp.
+    class Tile;
+
     template <typename T>
     void start(State<T>& s, const TierWeights<T>& w,
                const std::vector<nlp::TokenId>& src);
+    /// The one step body: feeds tokens[r] to *tile[r] for every row of a
+    /// tile of checked sessions of one engine and tier.
     template <typename T>
-    void advance(State<T>& s, const TierWeights<T>& w, nlp::TokenId token);
+    static void advance(std::span<Session* const> tile,
+                        std::span<const nlp::TokenId> tokens);
+    /// The error step(token) throws, or null when the step is allowed.
+    std::exception_ptr refusal(nlp::TokenId token) const;
 
     const InferenceEngine& eng_;
     Precision precision_ = Precision::kDouble;

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <utility>
 #include <filesystem>
@@ -93,35 +95,42 @@ TEST(InferenceEngine, GreedyMatchesReferenceOnTrainedModels) {
 TEST(InferenceEngine, IncrementalLogitsMatchFullRecompute) {
   // The KV cache makes each step one-row work; the logits it produces must
   // equal, bit for bit, those of re-running the full decoder over the whole
-  // prefix.
-  const Transformer& model = trained_model(5, 60);
-  const InferenceEngine engine(model);
-  Rng rng(0);
-  for (const auto& src : probe_sources()) {
-    const Var memory = model.encode(src, /*training=*/false, rng);
-    InferenceEngine::Session session(engine, src);
-    std::vector<TokenId> prefix{Vocabulary::kBos};
-    for (int step = 0; step < 8; ++step) {
-      const Tensor& incremental = session.step(prefix.back());
-      const Var full = model.decode(memory, prefix, /*training=*/false, rng);
-      const int64_t last = full->value.rows() - 1;
-      ASSERT_EQ(incremental.cols(), full->value.cols());
-      for (int64_t c = 0; c < incremental.cols(); ++c) {
-        ASSERT_EQ(std::bit_cast<uint64_t>(incremental(0, c)),
-                  std::bit_cast<uint64_t>(full->value(last, c)))
-            << "step " << step << " column " << c << ": "
-            << incremental(0, c) << " vs " << full->value(last, c);
-      }
-      // Continue along the greedy path.
-      TokenId best = 0;
-      double best_score = -1e300;
-      for (int64_t c = 0; c < incremental.cols(); ++c) {
-        if (incremental(0, c) > best_score) {
-          best_score = incremental(0, c);
-          best = static_cast<TokenId>(c);
+  // prefix.  The untrained model's widths (18, 30) are not multiples of the
+  // four weight rows the row kernel takes at a time.
+  TransformerConfig odd_cfg = tiny_config(3);
+  odd_cfg.d_model = 18;
+  odd_cfg.d_ff = 30;
+  const Transformer odd(odd_cfg);
+  for (const Transformer* reference : {&trained_model(5, 60), &odd}) {
+    const Transformer& model = *reference;
+    const InferenceEngine engine(model);
+    Rng rng(0);
+    for (const auto& src : probe_sources()) {
+      const Var memory = model.encode(src, /*training=*/false, rng);
+      InferenceEngine::Session session(engine, src);
+      std::vector<TokenId> prefix{Vocabulary::kBos};
+      for (int step = 0; step < 8; ++step) {
+        const Tensor& incremental = session.step(prefix.back());
+        const Var full = model.decode(memory, prefix, /*training=*/false, rng);
+        const int64_t last = full->value.rows() - 1;
+        ASSERT_EQ(incremental.cols(), full->value.cols());
+        for (int64_t c = 0; c < incremental.cols(); ++c) {
+          ASSERT_EQ(std::bit_cast<uint64_t>(incremental(0, c)),
+                    std::bit_cast<uint64_t>(full->value(last, c)))
+              << "step " << step << " column " << c << ": "
+              << incremental(0, c) << " vs " << full->value(last, c);
         }
+        // Continue along the greedy path.
+        TokenId best = 0;
+        double best_score = -1e300;
+        for (int64_t c = 0; c < incremental.cols(); ++c) {
+          if (incremental(0, c) > best_score) {
+            best_score = incremental(0, c);
+            best = static_cast<TokenId>(c);
+          }
+        }
+        prefix.push_back(best);
       }
-      prefix.push_back(best);
     }
   }
 }
@@ -137,16 +146,99 @@ TEST(InferenceEngine, BatchOfOneEqualsSingle) {
 }
 
 TEST(InferenceEngine, BatchBitIdenticalAcrossThreadCounts) {
+  // The batch steps its requests in groups that depend on the pool width;
+  // every output must still be the request's own greedy_decode.
   const Transformer& model = trained_model(5, 60);
   const InferenceEngine engine(model);
   const auto& srcs = probe_sources();
-  par::ThreadPool pool1(1), pool8(8);
+  par::ThreadPool pool1(1), pool3(3), pool8(8);
   const auto serial =
       engine.greedy_decode_batch(srcs, 16, Precision::kDouble, pool1);
-  const auto wide =
-      engine.greedy_decode_batch(srcs, 16, Precision::kDouble, pool8);
   ASSERT_EQ(serial.size(), srcs.size());
-  EXPECT_EQ(serial, wide);
+  for (size_t i = 0; i < srcs.size(); ++i) {
+    EXPECT_EQ(serial[i], engine.greedy_decode(srcs[i], 16)) << "request " << i;
+  }
+  EXPECT_EQ(engine.greedy_decode_batch(srcs, 16, Precision::kDouble, pool3),
+            serial);
+  EXPECT_EQ(engine.greedy_decode_batch(srcs, 16, Precision::kDouble, pool8),
+            serial);
+}
+
+/// Logits rows compared as bytes: the group contract is bit identity.
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     static_cast<size_t>(a.size()) * sizeof(double)) == 0;
+}
+
+TEST(InferenceEngine, GroupStepMatchesEachSessionAlone) {
+  // A group step stacks its rows for every weight matrix; each row must
+  // still get, byte for byte, the logits of its session stepped alone.  The
+  // rows differ in prompt length and position (session i is stepped i times
+  // alone first), span a full tile and a partial one, and include a session
+  // already at max_len, whose row fails alone.
+  TransformerConfig wide_cfg = tiny_config(11, /*max_len=*/12);
+  wide_cfg.d_model = 48;
+  wide_cfg.n_heads = 4;
+  wide_cfg.d_ff = 96;
+  const Transformer wide(wide_cfg);
+  for (const Transformer* model : {&trained_model(5, 60), &wide}) {
+    const InferenceEngine engine(*model);
+    const int64_t max_len = model->config().max_len;
+    for (const Precision tier : {Precision::kDouble, Precision::kFloat32}) {
+      std::vector<InferenceEngine::Session> sessions;
+      std::vector<TokenId> fed;
+      for (size_t i = 0; i < 6; ++i) {
+        sessions.emplace_back(engine, probe_sources()[i + 2], tier);
+        for (size_t k = 0; k < i; ++k) {
+          (void)sessions.back().step(static_cast<TokenId>(4 + (i + k) % 6));
+        }
+        fed.push_back(static_cast<TokenId>(4 + i % 6));
+      }
+      sessions.emplace_back(engine, probe_sources()[0], tier);
+      for (int64_t k = 0; k < max_len; ++k) (void)sessions.back().step(5);
+      fed.push_back(5);
+      const size_t full = sessions.size() - 1;  // the row at max_len
+
+      // Reference: a copy of each session stepped alone.
+      std::vector<Tensor> alone;
+      for (size_t i = 0; i < full; ++i) {
+        InferenceEngine::Session copy = sessions[i];
+        alone.push_back(copy.step(fed[i]));
+      }
+      const Tensor last_logits = sessions[full].logits();
+
+      // The same rows as one group, in order and reversed, on fresh copies.
+      for (const bool reversed : {false, true}) {
+        std::vector<InferenceEngine::Session> group = sessions;
+        std::vector<std::vector<TokenId>> tokens;
+        for (const TokenId t : fed) tokens.push_back({t});
+        std::vector<InferenceEngine::GreedyRow> rows;
+        for (size_t i = 0; i < group.size(); ++i) {
+          rows.emplace_back(&group[i], &tokens[i], max_len);
+        }
+        if (reversed) std::reverse(rows.begin(), rows.end());
+        InferenceEngine::Session::greedy_step_group(rows);
+        for (const InferenceEngine::GreedyRow& row : rows) {
+          const size_t i = static_cast<size_t>(row.session - group.data());
+          if (i == full) {
+            EXPECT_FALSE(row.live);
+            ASSERT_TRUE(row.error);
+            EXPECT_THROW(std::rethrow_exception(row.error), InvalidArgument);
+            EXPECT_TRUE(same_bytes(group[i].logits(), last_logits));
+            EXPECT_EQ(group[i].length(), max_len);
+            continue;
+          }
+          EXPECT_FALSE(row.error) << "row " << i;
+          EXPECT_TRUE(same_bytes(group[i].logits(), alone[i]))
+              << "row " << i << " tier " << static_cast<int>(tier)
+              << " d_model " << model->config().d_model
+              << (reversed ? " reversed" : "");
+          EXPECT_EQ(group[i].length(), sessions[i].length() + 1);
+        }
+      }
+    }
+  }
 }
 
 TEST(InferenceEngine, BatchRejectsNonpositiveTokenBudget) {
@@ -264,17 +356,23 @@ TEST(InferenceEngine, F32EncodeTracksDoubleEncode) {
 
 TEST(InferenceEngine, F32BatchBitIdenticalAcrossThreadCounts) {
   // Same determinism property the double tier holds: the f32 batch result
-  // must not depend on pool width (sessions are private, kernels serial).
+  // must not depend on pool width, and each output is the request's own
+  // f32 greedy_decode.
   const Transformer& model = trained_model(5, 60);
   const InferenceEngine engine(model);
   const auto& srcs = probe_sources();
-  par::ThreadPool pool1(1), pool8(8);
+  par::ThreadPool pool1(1), pool3(3), pool8(8);
   const auto serial =
       engine.greedy_decode_batch(srcs, 16, Precision::kFloat32, pool1);
-  const auto wide =
-      engine.greedy_decode_batch(srcs, 16, Precision::kFloat32, pool8);
   ASSERT_EQ(serial.size(), srcs.size());
-  EXPECT_EQ(serial, wide);
+  for (size_t i = 0; i < srcs.size(); ++i) {
+    EXPECT_EQ(serial[i], engine.greedy_decode(srcs[i], 16, Precision::kFloat32))
+        << "request " << i;
+  }
+  EXPECT_EQ(engine.greedy_decode_batch(srcs, 16, Precision::kFloat32, pool3),
+            serial);
+  EXPECT_EQ(engine.greedy_decode_batch(srcs, 16, Precision::kFloat32, pool8),
+            serial);
 }
 
 TEST(InferenceEngine, ForgedPrecisionIsRefused) {

@@ -41,7 +41,7 @@ TEST(Lu, Solves2x2) {
   MatrixD a(2, 2);
   a(0, 0) = 2.0; a(0, 1) = 1.0;
   a(1, 0) = 1.0; a(1, 1) = 3.0;
-  auto x = solve(a, {5.0, 10.0});
+  auto x = LuDecomposition<double>(a).solve({5.0, 10.0});
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
@@ -51,7 +51,7 @@ TEST(Lu, RequiresPivoting) {
   MatrixD a(2, 2);
   a(0, 0) = 0.0; a(0, 1) = 1.0;
   a(1, 0) = 1.0; a(1, 1) = 0.0;
-  auto x = solve(a, {2.0, 3.0});
+  auto x = LuDecomposition<double>(a).solve({2.0, 3.0});
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
@@ -60,7 +60,7 @@ TEST(Lu, SingularThrows) {
   MatrixD a(2, 2);
   a(0, 0) = 1.0; a(0, 1) = 2.0;
   a(1, 0) = 2.0; a(1, 1) = 4.0;
-  EXPECT_THROW(solve(a, {1.0, 2.0}), ConvergenceError);
+  EXPECT_THROW(LuDecomposition<double>(a).solve({1.0, 2.0}), ConvergenceError);
 }
 
 TEST(Lu, ZeroMatrixThrows) {
@@ -80,7 +80,7 @@ TEST(Lu, ComplexSystem) {
   a(1, 0) = C{2.0, 0.0}; a(1, 1) = C{1.0, 0.0};
   const std::vector<C> x_ref{C{1.0, 2.0}, C{-1.0, 0.5}};
   const auto b = matvec(a, x_ref);
-  const auto x = solve(a, b);
+  const auto x = LuDecomposition<std::complex<double>>(a).solve(b);
   EXPECT_NEAR(std::abs(x[0] - x_ref[0]), 0.0, 1e-12);
   EXPECT_NEAR(std::abs(x[1] - x_ref[1]), 0.0, 1e-12);
 }
@@ -98,7 +98,7 @@ TEST_P(LuRandom, ReconstructsRandomSolution) {
   std::vector<double> x_ref(static_cast<size_t>(n));
   for (auto& v : x_ref) v = rng.normal();
   const auto b = matvec(a, x_ref);
-  const auto x = solve(a, b);
+  const auto x = LuDecomposition<double>(a).solve(b);
   for (int i = 0; i < n; ++i) {
     EXPECT_NEAR(x[static_cast<size_t>(i)], x_ref[static_cast<size_t>(i)], 1e-9);
   }

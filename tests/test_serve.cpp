@@ -36,6 +36,7 @@
 
 #include "common/fault.hpp"
 #include "core/metrics.hpp"
+#include "ml/adam.hpp"
 #include "ml/decode_scheduler.hpp"
 
 namespace ota::serve {
@@ -195,6 +196,95 @@ TEST_F(DeterminismTest, SchedulerBitIdenticalToGreedyDecode) {
     EXPECT_EQ(stats.submitted, srcs.size());
     EXPECT_EQ(stats.served, srcs.size());
     EXPECT_LE(stats.peak_batch, 4u);
+  }
+}
+
+/// A tiny transformer trained to copy four-token sequences and stop: on the
+/// trained patterns its greedy decode ends on <eos>, on other inputs it may
+/// run to the budget.
+const ml::Transformer& copy_task_model() {
+  static const std::unique_ptr<ml::Transformer> model = [] {
+    ml::TransformerConfig cfg;
+    cfg.vocab_size = 10;
+    cfg.d_model = 16;
+    cfg.n_heads = 2;
+    cfg.n_layers = 2;
+    cfg.d_ff = 32;
+    cfg.max_len = 64;
+    cfg.dropout = 0.0;
+    cfg.seed = 5;
+    auto m = std::make_unique<ml::Transformer>(cfg);
+    ml::AdamOptions aopt;
+    aopt.lr = 3e-3;
+    ml::Adam adam(m->parameters(), aopt);
+    Rng rng(5);
+    const std::vector<std::vector<TokenId>> seqs{
+        {4, 5, 6, 7}, {5, 4, 7, 6}, {6, 7, 4, 5}, {7, 6, 5, 4}};
+    const std::vector<double> weights(5, 1.0);
+    for (int epoch = 0; epoch < 60; ++epoch) {
+      for (const auto& seq : seqs) {
+        ml::backward(m->loss(seq, seq, weights, rng));
+        adam.step();
+      }
+    }
+    return m;
+  }();
+  return *model;
+}
+
+TEST_F(DeterminismTest, SchedulerStackedRoundsMatchGreedyDecode) {
+  // Each round steps a chunk's sessions as one stacked group.  Submissions
+  // are staggered so that groups mix sessions at different positions, with
+  // budgets from 1 to 64 tokens, some requests ending on <eos> first; every
+  // ticket must still be greedy_decode of its request at the tier.
+  const ml::InferenceEngine engine(copy_task_model());
+  const std::vector<std::vector<TokenId>> srcs{
+      {4, 5, 6, 7}, {5, 6, 7, 4, 5, 6, 7, 4}, {5, 4, 7, 6}, {9, 8},
+      {6, 7, 4, 5}, {4, 4, 4, 4}, {7, 6, 5, 4}, {8, 9, 8},
+      {7, 5},       {6},          {4, 5, 6, 7}, {9, 9, 9, 9, 9}};
+  const std::vector<int64_t> budgets{1, 64, 2, 40, 3, 64, 5, 17, 64, 8, 33, 64};
+
+  for (const ml::Precision tier :
+       {ml::Precision::kDouble, ml::Precision::kFloat32}) {
+    std::vector<std::vector<TokenId>> reference;
+    bool some_end_on_eos = false;
+    for (size_t i = 0; i < srcs.size(); ++i) {
+      reference.push_back(engine.greedy_decode(srcs[i], budgets[i], tier));
+      some_end_on_eos |=
+          static_cast<int64_t>(reference.back().size()) < budgets[i];
+    }
+    EXPECT_TRUE(some_end_on_eos);
+
+    for (int threads : {1, 3, 8}) {
+      ml::DecodeScheduler::Options opt;
+      opt.max_batch = 5;
+      opt.precision = tier;
+      par::ThreadPool pool(threads);
+      ml::DecodeScheduler scheduler(engine, opt, pool);
+
+      // Each submission waits until the batch has stepped two more rounds
+      // (or has drained), so later requests join sessions already decoding.
+      std::vector<std::shared_ptr<ml::DecodeScheduler::Ticket>> tickets;
+      const auto drained = [&] {
+        return std::all_of(tickets.begin(), tickets.end(),
+                           [](const auto& t) { return t->done(); });
+      };
+      for (size_t i = 0; i < srcs.size(); ++i) {
+        const uint64_t rounds = scheduler.stats().rounds;
+        tickets.push_back(scheduler.submit(srcs[i], budgets[i]));
+        while (scheduler.stats().rounds < rounds + 2 && !drained()) {
+          std::this_thread::yield();
+        }
+      }
+      for (size_t i = 0; i < srcs.size(); ++i) {
+        EXPECT_EQ(tickets[i]->wait(), reference[i])
+            << "request " << i << " tier " << static_cast<int>(tier)
+            << " threads " << threads;
+      }
+      const auto stats = scheduler.stats();
+      EXPECT_EQ(stats.served, srcs.size());
+      EXPECT_LE(stats.peak_batch, 5u);
+    }
   }
 }
 
