@@ -270,38 +270,77 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
   };
   if (!admitted.empty()) {
     STAT_REGION("ml.scheduler.admit");
-    // First, in FIFO order on this thread, the cancel check and the encode
-    // fault site: a request cancelled since the sweep above resolves
-    // without paying the encode, and a poisoned encode fails its own ticket.
-    for (auto& t : admitted) {
-      if (cancel_if_fired(*t, "before decoding")) {
-        resolve(t, &Stats::cancelled);
-        continue;
+    // Neither vector grows past `room`, so the slots the builds write keep
+    // their addresses.
+    const size_t room = static_cast<size_t>(opt_.max_batch) - active.size();
+    admitted.reserve(room);
+    std::vector<std::unique_ptr<InferenceEngine::Session>> sessions(room);
+    int64_t building = 0;  // builds in flight, guarded by mu_
+    // Every build has finished before this block is left, by any path.
+    struct JoinBuilds {
+      DecodeScheduler& s;
+      const int64_t& building;
+      ~JoinBuilds() {
+        std::unique_lock<std::mutex> lk(s.mu_);
+        s.cv_.wait(lk, [this] { return building == 0; });
       }
-      try {
-        FAULT_SITE("ml.session.encode");
-      } catch (...) {
-        t->error = std::current_exception();
-        resolve(t, &Stats::failed);
-      }
-    }
-    // Then the sessions (the encode pass) are built on the pool, each into
-    // its own slot.  A request the engine refuses (empty input, over-long
-    // input) fails its ticket; the rest join the batch in FIFO order.
-    std::vector<std::unique_ptr<InferenceEngine::Session>> sessions(
-        admitted.size());
-    pool_.parallel_for(admitted.size(), [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        if (!admitted[i]) continue;
+    } join{*this, building};
+    for (size_t checked = 0;;) {
+      // In FIFO order on this thread, the cancel check and the encode fault
+      // site: a request cancelled since the sweep above resolves without
+      // paying the encode, and a poisoned encode fails its own ticket.
+      // Then its session (the encode pass) is built on the pool into its
+      // own slot; a request the engine refuses (empty input, over-long
+      // input) fails its ticket there.
+      for (; checked < admitted.size(); ++checked) {
+        std::shared_ptr<Ticket>& t = admitted[checked];
+        if (cancel_if_fired(*t, "before decoding")) {
+          resolve(t, &Stats::cancelled);
+          continue;
+        }
         try {
-          sessions[i] = std::make_unique<InferenceEngine::Session>(
-              engine_, admitted[i]->src, opt_.precision);
+          FAULT_SITE("ml.session.encode");
         } catch (...) {
-          // Pre-publication the ticket belongs to the scheduler.
-          admitted[i]->error = std::current_exception();
+          t->error = std::current_exception();
+          resolve(t, &Stats::failed);
+          continue;
+        }
+        {
+          std::lock_guard<std::mutex> lk(mu_);
+          ++building;
+        }
+        try {
+          pool_.submit([this, &building, ticket = t.get(),
+                        slot = &sessions[checked]] {
+            try {
+              *slot = std::make_unique<InferenceEngine::Session>(
+                  engine_, ticket->src, opt_.precision);
+            } catch (...) {
+              // Pre-publication the ticket belongs to the scheduler.
+              ticket->error = std::current_exception();
+            }
+            std::lock_guard<std::mutex> lk(mu_);
+            if (--building == 0) cv_.notify_all();
+          });
+        } catch (...) {
+          std::lock_guard<std::mutex> lk(mu_);
+          --building;
+          throw;
         }
       }
-    });
+      // While any build runs, arrivals join this admission, so a burst of
+      // submissions forms one batch even when this thread woke on its
+      // first request.
+      std::unique_lock<std::mutex> lk(mu_);
+      cv_.wait(lk, [&] {
+        return building == 0 || (!pending_.empty() && admitted.size() < room);
+      });
+      if (pending_.empty() || admitted.size() == room) break;  // builds done
+      while (!pending_.empty() && admitted.size() < room) {
+        admitted.push_back(std::move(pending_.front()));
+        pending_.pop_front();
+      }
+    }
     uint64_t joined = 0;
     for (size_t i = 0; i < admitted.size(); ++i) {
       if (!admitted[i]) continue;

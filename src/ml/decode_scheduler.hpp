@@ -11,10 +11,12 @@
 // requests join the running batch as they arrive (up to max_batch) and
 // finished sequences retire immediately — no waiting for stragglers, no
 // fixed batch boundaries.  Admission builds the joining sessions (the encode
-// pass) on the pool; each round is one parallel_for over the live sessions,
-// and each chunk steps its sessions as one group
-// (Session::greedy_step_group), so the rows of a chunk share every weight
-// sweep.
+// pass) on the pool, one pool task per session, and requests that arrive
+// while any of them is still building join the same admission, so a burst
+// of submissions forms one batch however early the scheduler thread wakes
+// on it.  Each round is one parallel_for over the live sessions, and each
+// chunk steps its sessions as one group (Session::greedy_step_group), so
+// the rows of a chunk share every weight sweep.
 //
 // Determinism contract (property-tested under the DeterminismTest umbrella):
 // a request's result is bit-identical to InferenceEngine::greedy_decode of

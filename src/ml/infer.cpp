@@ -591,14 +591,21 @@ std::vector<std::vector<TokenId>> InferenceEngine::greedy_decode_batch(
   std::vector<std::vector<TokenId>> out(srcs.size());
   if (srcs.empty()) return out;
   check_budget(max_len);
-  // Each session is built into its own slot; the first failing chunk's
-  // error is rethrown, as greedy_decode would throw it.
+  // Each session is built into its own slot by whichever worker is free;
+  // the lowest failing request's error is rethrown, as greedy_decode would
+  // throw it.
   std::vector<std::unique_ptr<Session>> sessions(srcs.size());
-  pool.parallel_for(srcs.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
+  std::vector<std::exception_ptr> errors(srcs.size());
+  pool.parallel_for_each(srcs.size(), [&](size_t i) {
+    try {
       sessions[i] = std::make_unique<Session>(*this, srcs[i], precision);
+    } catch (...) {
+      errors[i] = std::current_exception();
     }
   });
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
   std::vector<GreedyRow> rows;
   rows.reserve(srcs.size());
   for (size_t i = 0; i < srcs.size(); ++i) {

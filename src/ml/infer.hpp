@@ -19,7 +19,8 @@
 //    per tile instead of once per session.  Attention, KV appends and layer
 //    norms stay per row, against each session's own state;
 //  * greedy_decode_batch encodes its requests on an ota::par thread pool,
-//    then steps them in rounds, each chunk of live requests as one group.
+//    one at a time by whichever worker is free, then steps them in rounds,
+//    each chunk of live requests as one group.
 //
 // Numerical contract: the engine's greedy token output is IDENTICAL — token
 // for token, bit for bit — to Transformer::greedy_decode.  Every loop here

@@ -20,6 +20,7 @@
 // pass it.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -88,6 +89,21 @@ class ThreadPool {
   void parallel_for_chunked(
       size_t n, size_t max_chunks,
       const std::function<void(size_t, size_t, size_t)>& chunk_fn);
+
+  /// Runs `fn(i)` once for every i in [0, n), handing indices out one at a
+  /// time, in ascending order, to whichever chunk of a parallel_for asks
+  /// next.  For a few coarse items of uneven or core-dependent cost: a
+  /// worker on a slower core takes fewer items instead of holding up the
+  /// whole call with a fixed share.  Which worker runs an item depends on
+  /// timing, so `fn` must write only to item-indexed slots and must not
+  /// throw (catch per item and keep the error in its slot).
+  template <typename Fn>
+  void parallel_for_each(size_t n, const Fn& fn) {
+    std::atomic<size_t> next{0};
+    parallel_for(n, [&](size_t, size_t) {
+      for (size_t i = next++; i < n; i = next++) fn(i);
+    });
+  }
 
   /// parallel_for that maps `fn(item, index)` over `in`, writing results in
   /// order into the returned vector.

@@ -27,6 +27,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -285,6 +286,45 @@ TEST_F(DeterminismTest, SchedulerStackedRoundsMatchGreedyDecode) {
       EXPECT_EQ(stats.served, srcs.size());
       EXPECT_LE(stats.peak_batch, 5u);
     }
+  }
+}
+
+TEST_F(DeterminismTest, SchedulerBurstDuringAdmissionJoinsOneBatch) {
+  // Requests that arrive while admission is still building sessions join
+  // that admission, so a burst decodes as one batch even when the
+  // scheduler woke on its first request.  Every pool worker is held busy,
+  // so the first request's build waits in the queue while the rest arrive.
+  const ml::InferenceEngine engine(copy_task_model());
+  const std::vector<TokenId> src{4, 5, 6, 7};
+  constexpr int64_t kBudget = 6;
+  const std::vector<TokenId> reference = engine.greedy_decode(src, kBudget);
+  // Rounds one request takes: a step per token, plus the step that
+  // produced <eos> if it ended early.
+  const uint64_t steps =
+      reference.size() + (static_cast<int64_t>(reference.size()) < kBudget);
+
+  for (int threads : {2, 3}) {
+    par::ThreadPool pool(threads);
+    std::promise<void> release;
+    const std::shared_future<void> released = release.get_future().share();
+    for (int w = 0; w < threads; ++w) {
+      (void)pool.submit([released] { released.wait(); });
+    }
+    ml::DecodeScheduler::Options opt;
+    opt.max_batch = 8;
+    ml::DecodeScheduler scheduler(engine, opt, pool);
+
+    std::vector<std::shared_ptr<ml::DecodeScheduler::Ticket>> tickets;
+    tickets.push_back(scheduler.submit(src, kBudget));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    for (int i = 0; i < 4; ++i) tickets.push_back(scheduler.submit(src, kBudget));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    release.set_value();
+
+    for (const auto& t : tickets) EXPECT_EQ(t->wait(), reference);
+    const auto stats = scheduler.stats();
+    EXPECT_EQ(stats.rounds, steps) << "threads " << threads;
+    EXPECT_EQ(stats.peak_batch, 5u) << "threads " << threads;
   }
 }
 
