@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <functional>
 #include <string>
 #include <type_traits>
 
@@ -15,10 +16,10 @@ using nlp::Vocabulary;
 
 // Every loop in this file replicates the accumulation order of the reference
 // Var ops (ml/ops.cpp) and of the NN GEMM kernel (ml/tensor.cpp), so that the
-// engine's floating-point results are bit-identical to the autograd path's.
-// The row kernels also skip some multipliers that are exactly zero, which
-// the reference does not; a zero product never changes a finite sum that
-// starts at +0.  Do not "clean up" loop orders or hoist terms here without
+// engine's floating-point results are bit-identical to the autograd path's:
+// every element sums p ascending from +0, multiply then add, whatever the
+// tile shape (the projections run ml/panel_matrix.hpp's kernel, which keeps
+// that order).  Do not "clean up" loop orders or hoist terms here without
 // re-running the bit-identity properties in tests/test_infer.cpp.
 //
 // Everything below is templated on the scalar, so the float32 serving tier
@@ -82,51 +83,21 @@ constexpr size_t kTileRows = 4;
 template <typename T>
 using TileRows = std::array<T*, kTileRows>;
 
-/// out[r] = x[r] * W for rows [0, rows) of a tile, each output element
-/// summed p-ascending from +0 as the NN GEMM kernel sums it.  Four weight
-/// rows are applied to every row of the tile while they are cache-hot, so
-/// the matrix streams once per tile, and each output element is loaded and
-/// stored once per four products, which are still added one after another.
-/// A block of four zero multipliers is skipped; a lone zero product is
-/// added, which cannot change a finite sum that starts at +0.
+/// x * w for every row of x, as one projection: the encoder's and the cross
+/// K/V's.  Timed as the NN GEMM these calls once were (ml.gemm.nn), so the
+/// encode stays visible per layer.
 template <typename T>
-void project_rows(const TileRows<T>& x, const BasicTensor<T>& w,
-                  const TileRows<T>& out, size_t rows) {
-  const int64_t k = w.rows(), n = w.cols();
-  const T* wd = w.data().data();
-  for (size_t r = 0; r < rows; ++r) std::fill(out[r], out[r] + n, T(0));
-  int64_t p = 0;
-  for (; p + 4 <= k; p += 4) {
-    const T* w0 = wd + p * n;
-    const T* w1 = w0 + n;
-    const T* w2 = w1 + n;
-    const T* w3 = w2 + n;
-    for (size_t r = 0; r < rows; ++r) {
-      const T a0 = x[r][p], a1 = x[r][p + 1], a2 = x[r][p + 2],
-              a3 = x[r][p + 3];
-      if (a0 == T(0) && a1 == T(0) && a2 == T(0) && a3 == T(0)) continue;
-      T* o = out[r];
-#pragma omp simd
-      for (int64_t j = 0; j < n; ++j) {
-        T v = o[j];
-        v += a0 * w0[j];
-        v += a1 * w1[j];
-        v += a2 * w2[j];
-        v += a3 * w3[j];
-        o[j] = v;
-      }
-    }
+BasicTensor<T> project_all(const BasicTensor<T>& x, const PanelMatrix<T>& w) {
+  STAT_REGION("ml.gemm.nn");
+  BasicTensor<T> out(x.rows(), w.cols());
+  std::vector<const T*> in(static_cast<size_t>(x.rows()));
+  std::vector<T*> dst(in.size());
+  for (size_t r = 0; r < in.size(); ++r) {
+    in[r] = x.data().data() + static_cast<int64_t>(r) * x.cols();
+    dst[r] = out.data().data() + static_cast<int64_t>(r) * out.cols();
   }
-  for (; p < k; ++p) {
-    const T* wrow = wd + p * n;
-    for (size_t r = 0; r < rows; ++r) {
-      const T xv = x[r][p];
-      if (xv == T(0)) continue;
-      T* o = out[r];
-#pragma omp simd
-      for (int64_t j = 0; j < n; ++j) o[j] += xv * wrow[j];
-    }
-  }
+  project<T>(in, w, dst);
+  return out;
 }
 
 template <typename T>
@@ -189,7 +160,6 @@ void attend_row(const T* q, const T* keys, const T* values, int64_t lk,
     softmax_row(scores.data(), lk);
     for (int64_t p = 0; p < lk; ++p) {
       const T a = scores[static_cast<size_t>(p)];
-      if (a == T(0)) continue;  // zero multiplier (see the top of the file)
       const T* vrow = values + p * d_model + ho;
 #pragma omp simd
       for (int64_t c = 0; c < d_head; ++c) ctx[ho + c] += a * vrow[c];
@@ -204,15 +174,14 @@ void attend_row(const T* q, const T* keys, const T* values, int64_t lk,
 /// and bias.  Each query row goes through the same attend_row kernel the
 /// decoder Session uses — one copy of the bit-identity-critical loop.
 template <typename T>
-BasicTensor<T> attention_full(const BasicTensor<T>& q_src,
-                              const BasicTensor<T>& kv_src,
-                              const AttentionWeights<BasicTensor<T>>& w,
-                              int64_t d_head) {
+BasicTensor<T> attention_full(
+    const BasicTensor<T>& q_src, const BasicTensor<T>& kv_src,
+    const AttentionWeights<BasicTensor<T>, PanelMatrix<T>>& w,
+    int64_t d_head) {
   const int64_t lq = q_src.rows(), lk = kv_src.rows(), d_model = w.wq.cols();
-  BasicTensor<T> q, k, v;
-  matmul_into(q_src, w.wq, q);
-  matmul_into(kv_src, w.wk, k);
-  matmul_into(kv_src, w.wv, v);
+  BasicTensor<T> q = project_all(q_src, w.wq);
+  const BasicTensor<T> k = project_all(kv_src, w.wk);
+  const BasicTensor<T> v = project_all(kv_src, w.wv);
 
   BasicTensor<T> ctx(lq, d_model);
   std::vector<T> scores(static_cast<size_t>(lk));
@@ -220,22 +189,20 @@ BasicTensor<T> attention_full(const BasicTensor<T>& q_src,
     attend_row(&q(i, 0), k.data().data(), v.data().data(), lk, d_model, d_head,
                &ctx(i, 0), scores);
   }
-  BasicTensor<T> out;
-  matmul_into(ctx, w.wo, out);
+  BasicTensor<T> out = project_all(ctx, w.wo);
   for (int64_t r = 0; r < out.rows(); ++r) add_bias_row(&out(r, 0), w.bo);
   return out;
 }
 
 /// Position-wise FFN over all rows: relu(x W_in + b_in) W_out + b_out.
 template <typename T>
-BasicTensor<T> ffn_full(const BasicTensor<T>& x,
-                        const FeedForwardWeights<BasicTensor<T>>& w) {
-  BasicTensor<T> h;
-  matmul_into(x, w.w_in, h);
+BasicTensor<T> ffn_full(
+    const BasicTensor<T>& x,
+    const FeedForwardWeights<BasicTensor<T>, PanelMatrix<T>>& w) {
+  BasicTensor<T> h = project_all(x, w.w_in);
   for (int64_t r = 0; r < h.rows(); ++r) add_bias_row(&h(r, 0), w.b_in);
   for (T& v : h.data()) v = v > T(0) ? v : T(0);
-  BasicTensor<T> out;
-  matmul_into(h, w.w_out, out);
+  BasicTensor<T> out = project_all(h, w.w_out);
   for (int64_t r = 0; r < out.rows(); ++r) add_bias_row(&out(r, 0), w.b_out);
   return out;
 }
@@ -268,7 +235,7 @@ BasicTensor<T> encode_impl(const std::vector<TokenId>& src,
       x(i, c) = w.src_embed(id, c) * sqrt_d + w.pos(i, c);
     }
   }
-  for (const EncoderLayerWeights<BasicTensor<T>>& layer : w.encoder) {
+  for (const auto& layer : w.encoder) {
     const BasicTensor<T> attn = attention_full(x, x, layer.self, d_head);
     for (int64_t i = 0; i < x.size(); ++i) x.at(i) += attn.at(i);
     for (int64_t r = 0; r < len; ++r) {
@@ -284,28 +251,35 @@ BasicTensor<T> encode_impl(const std::vector<TokenId>& src,
 }
 
 /// One tier's weights: a field-by-field copy of the model's layout, each
-/// weight converted to the tier's scalar (float32 rounds to nearest).
+/// weight converted to the tier's scalar (float32 rounds to nearest) and
+/// each projection matrix packed into column panels, one weight per task on
+/// `pool`.
 template <typename T>
-TierWeights<T> snapshot(const Transformer& model) {
+TierWeights<T> snapshot(const Transformer& model, par::ThreadPool& pool) {
   TierWeights<T> w;
   w.encoder.resize(model.weights().encoder.size());
   w.decoder.resize(model.weights().decoder.size());
+  std::vector<std::function<void()>> copies;
   for_each_weight(
-      [](BasicTensor<T>& dst, const Var& src) {
-        dst = BasicTensor<T>::from(src->value);
+      [&copies](auto& dst, const Var& src) {
+        copies.emplace_back([&dst, &src] {
+          dst = std::remove_reference_t<decltype(dst)>::from(src->value);
+        });
       },
       w, model.weights());
+  pool.parallel_for_each(copies.size(), [&copies](size_t i) { copies[i](); });
   w.pos = BasicTensor<T>::from(model.positional().table());
   return w;
 }
 
 }  // namespace
 
-InferenceEngine::InferenceEngine(const Transformer& model)
+InferenceEngine::InferenceEngine(const Transformer& model,
+                                 par::ThreadPool& pool)
     : cfg_(model.config()),
       d_head_(cfg_.d_model / cfg_.n_heads),
-      f64_(snapshot<double>(model)),
-      f32_(snapshot<float>(model)) {}
+      f64_(snapshot<double>(model, pool)),
+      f32_(snapshot<float>(model, pool)) {}
 
 Tensor InferenceEngine::encode(const std::vector<TokenId>& src) const {
   return encode_impl(src, f64_, cfg_, d_head_);
@@ -348,8 +322,8 @@ void InferenceEngine::Session::start(State<T>& s, const TierWeights<T>& w,
   for (size_t l = 0; l < layers; ++l) {
     // The reference recomputes K/V from the (fixed) memory every step; the
     // values never change, so computing them once per request is exact.
-    matmul_into(s.memory, w.decoder[l].cross.wk, s.cross_k[l]);
-    matmul_into(s.memory, w.decoder[l].cross.wv, s.cross_v[l]);
+    s.cross_k[l] = project_all(s.memory, w.decoder[l].cross.wk);
+    s.cross_v[l] = project_all(s.memory, w.decoder[l].cross.wv);
   }
 }
 
@@ -436,6 +410,11 @@ void InferenceEngine::Session::advance(std::span<Session* const> tile,
       x[r][c] = w.tgt_embed(tokens[r], c) * sqrt_d + w.pos(pos, c);
     }
   }
+  const auto project_tile = [rows](const TileRows<T>& in,
+                                   const PanelMatrix<T>& m,
+                                   const TileRows<T>& out) {
+    project<T>({in.data(), rows}, m, {out.data(), rows});
+  };
   const auto add_norm = [&](const BasicTensor<T>& bias,
                             const LayerNormWeights<BasicTensor<T>>& norm) {
     for (size_t r = 0; r < rows; ++r) {
@@ -446,48 +425,48 @@ void InferenceEngine::Session::advance(std::span<Session* const> tile,
   };
 
   for (size_t l = 0; l < w.decoder.size(); ++l) {
-    const DecoderLayerWeights<BasicTensor<T>>& layer = w.decoder[l];
+    const auto& layer = w.decoder[l];
 
     // Masked self-attention: project this position's K/V once, append to the
     // cache, attend the query against every cached position.  The causal mask
     // is implicit — the cache only holds positions <= this one.
-    project_rows(x, layer.self.wk, row, rows);
+    project_tile(x, layer.self.wk, row);
     for (size_t r = 0; r < rows; ++r) {
       st[r]->self_k[l].insert(st[r]->self_k[l].end(), row[r], row[r] + d);
     }
-    project_rows(x, layer.self.wv, row, rows);
+    project_tile(x, layer.self.wv, row);
     for (size_t r = 0; r < rows; ++r) {
       st[r]->self_v[l].insert(st[r]->self_v[l].end(), row[r], row[r] + d);
     }
-    project_rows(x, layer.self.wq, row, rows);
+    project_tile(x, layer.self.wq, row);
     for (size_t r = 0; r < rows; ++r) {
       attend_row(row[r], st[r]->self_k[l].data(), st[r]->self_v[l].data(),
                  tile[r]->length_ + 1, d, eng.d_head_, ctx[r], st[r]->scores);
     }
-    project_rows(ctx, layer.self.wo, out, rows);
+    project_tile(ctx, layer.self.wo, out);
     add_norm(layer.self.bo, layer.norm1);
 
     // Cross-attention against the precomputed memory K/V.
-    project_rows(x, layer.cross.wq, row, rows);
+    project_tile(x, layer.cross.wq, row);
     for (size_t r = 0; r < rows; ++r) {
       attend_row(row[r], st[r]->cross_k[l].data().data(),
                  st[r]->cross_v[l].data().data(), st[r]->memory.rows(), d,
                  eng.d_head_, ctx[r], st[r]->scores);
     }
-    project_rows(ctx, layer.cross.wo, out, rows);
+    project_tile(ctx, layer.cross.wo, out);
     add_norm(layer.cross.bo, layer.norm2);
 
     // Position-wise FFN.
-    project_rows(x, layer.ffn.w_in, ff, rows);
+    project_tile(x, layer.ffn.w_in, ff);
     for (size_t r = 0; r < rows; ++r) {
       add_bias_row(ff[r], layer.ffn.b_in);
       for (T& v : st[r]->ff) v = v > T(0) ? v : T(0);
     }
-    project_rows(ff, layer.ffn.w_out, out, rows);
+    project_tile(ff, layer.ffn.w_out, out);
     add_norm(layer.ffn.b_out, layer.norm3);
   }
 
-  project_rows(x, w.out_w, logits, rows);
+  project_tile(x, w.out_w, logits);
   for (size_t r = 0; r < rows; ++r) {
     add_bias_row(logits[r], w.out_b);
     // Widening float logits is monotone and tie-preserving, so argmax over

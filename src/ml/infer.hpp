@@ -8,8 +8,11 @@
 // representation compiled once from a trained model:
 //
 //  * compiling is a typed copy of the model's own weight layout
-//    (ml/layers.hpp) into plain tensors of each tier's scalar, so every
-//    attention site keeps its fused d_model x d_model Q/K/V projections;
+//    (ml/layers.hpp) in each tier's scalar, so every attention site keeps
+//    its fused d_model x d_model Q/K/V projections.  Each projection matrix
+//    is stored once, packed into column panels (ml/panel_matrix.hpp), and
+//    every projection — encoder, cross K/V, decode step, logits — runs the
+//    one register-blocked kernel over them;
 //  * encode runs once per request and the cross-attention K/V of every
 //    decoder layer are precomputed from the memory;
 //  * decoding is incremental through a per-layer KV cache, so each step is
@@ -25,12 +28,11 @@
 // Numerical contract: the engine's greedy token output is IDENTICAL — token
 // for token, bit for bit — to Transformer::greedy_decode.  Every loop here
 // replicates the accumulation order of the reference ops over the same
-// fused projections.  The engine's row kernels also skip some multipliers
-// that are exactly zero, which the reference GEMM does not; a zero product
-// never changes a finite sum that starts at +0, and tests/test_infer.cpp checks
-// the logits bit for bit on trained models.  A row's numbers depend only on
-// that row's inputs, so a session's logits are the same whichever group it
-// steps in, and batch results are bit-identical for any pool width.
+// fused projections: every element sums p ascending from +0, multiply then
+// add, whatever the tile shape, and tests/test_infer.cpp checks the logits
+// bit for bit on trained models.  A row's numbers depend only on that row's
+// inputs, so a session's logits are the same whichever group it steps in,
+// and batch results are bit-identical for any pool width.
 //
 // The float32 serving tier is the float instantiation of the same code: one
 // templated weight copy and one templated step body serve both tiers.
@@ -41,6 +43,7 @@
 #include <span>
 #include <vector>
 
+#include "ml/panel_matrix.hpp"
 #include "ml/precision.hpp"
 #include "ml/transformer.hpp"
 #include "par/thread_pool.hpp"
@@ -53,19 +56,22 @@ namespace ota::ml {
 nlp::TokenId argmax_token(const Tensor& logits);
 
 /// One tier's compiled weights: the model's own layout (ml/layers.hpp) in
-/// the tier's scalar, plus the positional table.
+/// the tier's scalar, each projection matrix packed into column panels and
+/// stored in that layout alone, plus the positional table.
 template <typename T>
-struct TierWeights : ModelWeights<BasicTensor<T>> {
+struct TierWeights : ModelWeights<BasicTensor<T>, PanelMatrix<T>> {
   BasicTensor<T> pos;  ///< (max_len, d_model) positions
 };
 
 class InferenceEngine {
  public:
   /// Copies the model's weights once per tier — double (the reference) and
-  /// float32 — so both tiers are always available at decode time.  The
-  /// engine keeps no reference to the Transformer; retraining or mutating
-  /// it does not affect the engine.
-  explicit InferenceEngine(const Transformer& model);
+  /// float32 — so both tiers are always available at decode time; the
+  /// copies run on `pool`, one weight per task.  The engine keeps no
+  /// reference to the Transformer; retraining or mutating it does not
+  /// affect the engine.
+  explicit InferenceEngine(const Transformer& model,
+                           par::ThreadPool& pool = par::global_pool());
 
   const TransformerConfig& config() const { return cfg_; }
 

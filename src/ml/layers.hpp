@@ -5,9 +5,11 @@
 //
 // The layout is defined once, here, as weight structs templated on the slot
 // type W: Var in the trainable Transformer, BasicTensor<T> in each tier of the
-// inference engine.  Each attention site holds fused (d_model, d_model)
-// wq/wk/wv; column block [h*d_head, (h+1)*d_head) of each is head h's
-// projection (Vaswani et al. 2017, Section 3.2.2).
+// inference engine.  The projection matrices (wq/wk/wv/wo, w_in/w_out,
+// out_w) take the slot type M, which is W unless given: the engine packs them
+// as PanelMatrix<T> (ml/panel_matrix.hpp).  Each attention site holds fused
+// (d_model, d_model) wq/wk/wv; column block [h*d_head, (h+1)*d_head) of each
+// is head h's projection (Vaswani et al. 2017, Section 3.2.2).
 //
 // for_each_weight() fixes the one parameter order every consumer walks:
 // Transformer::parameters() (hence Adam, the trainer's reduction and clip
@@ -27,17 +29,19 @@ namespace ota::ml {
 
 /// One attention site: fused Q/K/V projections (head h is column block h),
 /// then the output projection W_O and its bias.
-template <typename W>
+template <typename W, typename M = W>
 struct AttentionWeights {
-  W wq, wk, wv;  ///< (d_model, d_model)
-  W wo;          ///< (d_model, d_model)
+  M wq, wk, wv;  ///< (d_model, d_model)
+  M wo;          ///< (d_model, d_model)
   W bo;          ///< (1, d_model)
 };
 
-template <typename W>
+template <typename W, typename M = W>
 struct FeedForwardWeights {
-  W w_in, b_in;    ///< (d_model, d_ff), (1, d_ff)
-  W w_out, b_out;  ///< (d_ff, d_model), (1, d_model)
+  M w_in;   ///< (d_model, d_ff)
+  W b_in;   ///< (1, d_ff)
+  M w_out;  ///< (d_ff, d_model)
+  W b_out;  ///< (1, d_model)
 };
 
 template <typename W>
@@ -45,26 +49,26 @@ struct LayerNormWeights {
   W gamma, beta;  ///< (1, d_model)
 };
 
-template <typename W>
+template <typename W, typename M = W>
 struct EncoderLayerWeights {
-  AttentionWeights<W> self;
-  FeedForwardWeights<W> ffn;
+  AttentionWeights<W, M> self;
+  FeedForwardWeights<W, M> ffn;
   LayerNormWeights<W> norm1, norm2;
 };
 
-template <typename W>
+template <typename W, typename M = W>
 struct DecoderLayerWeights {
-  AttentionWeights<W> self, cross;
-  FeedForwardWeights<W> ffn;
+  AttentionWeights<W, M> self, cross;
+  FeedForwardWeights<W, M> ffn;
   LayerNormWeights<W> norm1, norm2, norm3;
 };
 
-template <typename W>
+template <typename W, typename M = W>
 struct ModelWeights {
   W src_embed, tgt_embed;  ///< (vocab, d_model)
-  std::vector<EncoderLayerWeights<W>> encoder;
-  std::vector<DecoderLayerWeights<W>> decoder;
-  W out_w;  ///< (d_model, vocab)
+  std::vector<EncoderLayerWeights<W, M>> encoder;
+  std::vector<DecoderLayerWeights<W, M>> decoder;
+  M out_w;  ///< (d_model, vocab)
   W out_b;  ///< (1, vocab)
 };
 

@@ -43,12 +43,11 @@ enum class Mode { NN, NT, TN };
 
 // Cache-blocked, register-tiled GEMM kernels.
 //
-// These serve every GEMM in the repository: the transformer forward pass,
-// the autograd backward closures, and the KV-cache inference engine.  The
-// shapes are small-to-medium (sequence x d_model, d_model x d_ff,
-// sequence x vocab), so the wins come from register tiling and contiguous
-// inner loops that -O3 can autovectorize, plus a k-panel block that keeps the
-// streamed B slab hot once matrices outgrow L1.
+// These serve every GEMM of training: the transformer forward pass and the
+// autograd backward closures.  The shapes are small-to-medium (sequence x
+// d_model, d_model x d_ff, sequence x vocab), so the wins come from register
+// tiling and contiguous inner loops that -O3 can autovectorize, plus a
+// k-panel block that keeps the streamed B slab hot once matrices outgrow L1.
 //
 // Determinism contract: for a given shape, every C element is accumulated in
 // a fixed order that does not depend on threads or any runtime knob — the
@@ -61,29 +60,26 @@ constexpr int64_t kRowTile = 4;   ///< NN micro-kernel: C rows per step
 // C[ib:ie) += A[ib:ie, pb:pe) * B[pb:pe, :) with row-major leading
 // dimensions lda/ldb/ldc.  Four C rows move together: each streamed B row is
 // reused four times and the j loop is a set of independent lanes the
-// compiler vectorizes.  Templated on the scalar so the float32 inference
-// tier shares the exact kernel (and its fixed per-element accumulation
-// order); the double instantiation is the pre-existing reference code.
-template <typename T>
-void nn_panel(const T* a, int64_t lda, const T* b, int64_t ldb,
-              T* c, int64_t ldc, int64_t ib, int64_t ie, int64_t pb,
+// compiler vectorizes.
+void nn_panel(const double* a, int64_t lda, const double* b, int64_t ldb,
+              double* c, int64_t ldc, int64_t ib, int64_t ie, int64_t pb,
               int64_t pe, int64_t n) {
   int64_t i = ib;
   for (; i + kRowTile <= ie; i += kRowTile) {
-    const T* a0 = a + (i + 0) * lda;
-    const T* a1 = a + (i + 1) * lda;
-    const T* a2 = a + (i + 2) * lda;
-    const T* a3 = a + (i + 3) * lda;
-    T* c0 = c + (i + 0) * ldc;
-    T* c1 = c + (i + 1) * ldc;
-    T* c2 = c + (i + 2) * ldc;
-    T* c3 = c + (i + 3) * ldc;
+    const double* a0 = a + (i + 0) * lda;
+    const double* a1 = a + (i + 1) * lda;
+    const double* a2 = a + (i + 2) * lda;
+    const double* a3 = a + (i + 3) * lda;
+    double* c0 = c + (i + 0) * ldc;
+    double* c1 = c + (i + 1) * ldc;
+    double* c2 = c + (i + 2) * ldc;
+    double* c3 = c + (i + 3) * ldc;
     for (int64_t p = pb; p < pe; ++p) {
-      const T* bp = b + p * ldb;
-      const T av0 = a0[p], av1 = a1[p], av2 = a2[p], av3 = a3[p];
+      const double* bp = b + p * ldb;
+      const double av0 = a0[p], av1 = a1[p], av2 = a2[p], av3 = a3[p];
 #pragma omp simd
       for (int64_t j = 0; j < n; ++j) {
-        const T bv = bp[j];
+        const double bv = bp[j];
         c0[j] += av0 * bv;
         c1[j] += av1 * bv;
         c2[j] += av2 * bv;
@@ -92,11 +88,11 @@ void nn_panel(const T* a, int64_t lda, const T* b, int64_t ldb,
     }
   }
   for (; i < ie; ++i) {
-    const T* ai = a + i * lda;
-    T* ci = c + i * ldc;
+    const double* ai = a + i * lda;
+    double* ci = c + i * ldc;
     for (int64_t p = pb; p < pe; ++p) {
-      const T* bp = b + p * ldb;
-      const T av = ai[p];
+      const double* bp = b + p * ldb;
+      const double av = ai[p];
 #pragma omp simd
       for (int64_t j = 0; j < n; ++j) ci[j] += av * bp[j];
     }
@@ -104,8 +100,7 @@ void nn_panel(const T* a, int64_t lda, const T* b, int64_t ldb,
 }
 
 // C (m,n) += A (m,k) * B (k,n), both row-major.
-template <typename T>
-void nn_driver(const T* a, const T* b, T* c, int64_t m,
+void nn_driver(const double* a, const double* b, double* c, int64_t m,
                int64_t k, int64_t n) {
   for (int64_t pb = 0; pb < k; pb += kPanelK) {
     const int64_t pe = std::min(k, pb + kPanelK);
@@ -190,10 +185,9 @@ void tn_driver(const double* a, const double* b, double* c, int64_t m,
 }
 
 // One entry point serving all three transpose modes, with an accumulate
-// flag.  The float instantiation serves only NN (the f32 inference tier).
-template <Mode M, bool Acc, typename T>
-void gemm(const BasicTensor<T>& a, const BasicTensor<T>& b,
-          BasicTensor<T>& c) {
+// flag.
+template <Mode M, bool Acc>
+void gemm(const Tensor& a, const Tensor& b, Tensor& c) {
   const int64_t m = M == Mode::TN ? a.cols() : a.rows();
   const int64_t k = M == Mode::TN ? a.rows() : a.cols();
   const int64_t n = M == Mode::NT ? b.rows() : b.cols();
@@ -204,13 +198,13 @@ void gemm(const BasicTensor<T>& a, const BasicTensor<T>& b,
       throw InvalidArgument("matmul: output shape mismatch");
     }
   } else {
-    if (c.rows() != m || c.cols() != n) c = BasicTensor<T>(m, n);
+    if (c.rows() != m || c.cols() != n) c = Tensor(m, n);
     c.zero();
   }
 
-  const T* ad = a.data().data();
-  const T* bd = b.data().data();
-  T* cd = c.data().data();
+  const double* ad = a.data().data();
+  const double* bd = b.data().data();
+  double* cd = c.data().data();
   if constexpr (M == Mode::NN) {
     STAT_REGION("ml.gemm.nn");
     nn_driver(ad, bd, cd, m, k, n);
@@ -226,9 +220,6 @@ void gemm(const BasicTensor<T>& a, const BasicTensor<T>& b,
 }  // namespace
 
 void matmul_into(const Tensor& a, const Tensor& b, Tensor& c) {
-  gemm<Mode::NN, false>(a, b, c);
-}
-void matmul_into(const TensorF& a, const TensorF& b, TensorF& c) {
   gemm<Mode::NN, false>(a, b, c);
 }
 void matmul_nt_into(const Tensor& a, const Tensor& b, Tensor& c) {

@@ -5,8 +5,8 @@
 // gradient checks tight and training deterministic across platforms.  The
 // float instantiation (TensorF) is the inference engine's f32 serving tier:
 // same layout, half the bytes per element.  Training and the bit-identity
-// reference stay double, so the training-side helpers (xavier, norm) are
-// defined for double only.
+// reference stay double, so the training-side helpers (xavier, norm) and the
+// GEMMs below are defined for double only.
 #pragma once
 
 #include <algorithm>
@@ -87,10 +87,8 @@ class BasicTensor {
 using Tensor = BasicTensor<double>;
 using TensorF = BasicTensor<float>;
 
-/// C = A * B (inner dimensions must agree).  The float overload runs the
-/// same cache-blocked kernel for the inference engine's f32 tier.
+/// C = A * B (inner dimensions must agree).
 void matmul_into(const Tensor& a, const Tensor& b, Tensor& c);
-void matmul_into(const TensorF& a, const TensorF& b, TensorF& c);
 /// C = A * B^T.
 void matmul_nt_into(const Tensor& a, const Tensor& b, Tensor& c);
 /// C = A^T * B.

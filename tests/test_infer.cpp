@@ -95,8 +95,8 @@ TEST(InferenceEngine, GreedyMatchesReferenceOnTrainedModels) {
 TEST(InferenceEngine, IncrementalLogitsMatchFullRecompute) {
   // The KV cache makes each step one-row work; the logits it produces must
   // equal, bit for bit, those of re-running the full decoder over the whole
-  // prefix.  The untrained model's widths (18, 30) are not multiples of the
-  // four weight rows the row kernel takes at a time.
+  // prefix.  The untrained model's widths (18, 30) are not multiples of a
+  // column panel (4 doubles), so every projection has a column tail.
   TransformerConfig odd_cfg = tiny_config(3);
   odd_cfg.d_model = 18;
   odd_cfg.d_ff = 30;

@@ -1,4 +1,5 @@
-// Golden tests for the tiled GEMM kernels in ml/tensor.cpp.
+// Golden tests for the tiled GEMM kernels in ml/tensor.cpp, and for the
+// inference engine's panel kernel (ml/panel_matrix.hpp).
 //
 // Every mode (NN, NT, TN), both the overwrite and accumulate variants, is
 // compared against a naive triple loop over a grid of shapes chosen to hit
@@ -10,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "ml/panel_matrix.hpp"
 #include "ml/tensor.hpp"
 
 namespace ota::ml {
@@ -190,45 +194,66 @@ TEST(TensorFTest, FromNarrowsEveryElementRoundToNearest) {
   }
 }
 
-// The float32 NN GEMM runs the same cache-blocked kernel as the double path;
-// it only owes float-scale accuracy (vs a double reference computed on the
-// narrowed inputs) and run-to-run bit identity.
-TEST(TensorFTest, MatmulMatchesDoubleReferenceAtFloatScale) {
-  Rng rng(113);
-  for (const Shape& s : kShapes) {
-    const Tensor a64 = random_tensor(s.m, s.k, rng);
-    const Tensor b64 = random_tensor(s.k, s.n, rng);
-    const TensorF a = TensorF::from(a64);
-    const TensorF b = TensorF::from(b64);
-    // Reference: double accumulation over the SAME float32 inputs, so the
-    // tolerance covers only the f32 kernel's accumulation error, not the
-    // narrowing of the operands.
-    Tensor want(s.m, s.n);
-    for (int64_t i = 0; i < s.m; ++i) {
-      for (int64_t j = 0; j < s.n; ++j) {
-        double acc = 0.0;
-        for (int64_t p = 0; p < s.k; ++p) {
-          acc += static_cast<double>(a(i, p)) * static_cast<double>(b(p, j));
+// The engine's panel kernel owes more than a tolerance: each output element
+// must equal a naive loop bit for bit (sum p ascending from +0, multiply then
+// add) at both tiers, for every tile shape.  Rows 1-9 give full 4-row tiles
+// plus every short tile (3x1, 2x2, 1x4 panels); the widths give column tails
+// inside a panel and panel counts that the short tiles do not divide.  One
+// row holds +0 and one -0 throughout (+0 + -0 is +0, so an accumulator that
+// starts from its first product instead of +0 shows), and a guard after each
+// output row catches a store past column n.
+template <typename T>
+void expect_project_equals_naive_loop() {
+  constexpr int64_t kGuard = PanelMatrix<T>::kWidth;
+  const T sentinel = T(12345.5);
+  Rng rng(127);
+  for (const int64_t k : {1, 2, 7, 64}) {
+    for (const int64_t n : {1, 3, 5, 9, 17, 33}) {
+      const Tensor w64 = random_tensor(k, n, rng);
+      const PanelMatrix<T> w = PanelMatrix<T>::from(w64);
+      ASSERT_EQ(w.rows(), k);
+      ASSERT_EQ(w.cols(), n);
+      for (size_t rows = 1; rows <= 9; ++rows) {
+        std::vector<std::vector<T>> x(rows, std::vector<T>(k));
+        for (std::vector<T>& row : x) {
+          for (T& v : row) v = static_cast<T>(rng.uniform(-1.0, 1.0));
         }
-        want(i, j) = acc;
+        if (rows >= 2) std::fill(x.back().begin(), x.back().end(), T(-0.0));
+        if (rows >= 3) std::fill(x[0].begin(), x[0].end(), T(0));
+        std::vector<std::vector<T>> out(
+            rows, std::vector<T>(static_cast<size_t>(n + kGuard), sentinel));
+        std::vector<const T*> in;
+        std::vector<T*> dst;
+        for (size_t r = 0; r < rows; ++r) {
+          in.push_back(x[r].data());
+          dst.push_back(out[r].data());
+        }
+        project<T>(in, w, dst);
+        for (size_t r = 0; r < rows; ++r) {
+          for (int64_t c = 0; c < n; ++c) {
+            T acc = T(0);
+            for (int64_t p = 0; p < k; ++p) {
+              acc += x[r][static_cast<size_t>(p)] * static_cast<T>(w64(p, c));
+            }
+            const T got = out[r][static_cast<size_t>(c)];
+            EXPECT_EQ(std::memcmp(&got, &acc, sizeof(T)), 0)
+                << got << " != " << acc << " at row " << r << " col " << c
+                << " (" << rows << " rows, k=" << k << " n=" << n << ")";
+          }
+          for (int64_t c = n; c < n + kGuard; ++c) {
+            EXPECT_EQ(out[r][static_cast<size_t>(c)], sentinel)
+                << "store past column " << n << " at row " << r << " col "
+                << c << " (" << rows << " rows, k=" << k << ")";
+          }
+        }
       }
     }
-    TensorF c;
-    matmul_into(a, b, c);
-    ASSERT_EQ(c.rows(), s.m);
-    ASSERT_EQ(c.cols(), s.n);
-    const double tol = 1e-6 * static_cast<double>(s.k + 1);
-    for (int64_t i = 0; i < c.size(); ++i) {
-      const double scale = std::max(1.0, std::abs(want.at(i)));
-      EXPECT_NEAR(static_cast<double>(c.at(i)), want.at(i), tol * scale)
-          << "f32 NN at flat index " << i << " (m=" << s.m << " k=" << s.k
-          << " n=" << s.n << ")";
-    }
-
-    TensorF c2;
-    matmul_into(a, b, c2);
-    EXPECT_EQ(c.data(), c2.data()) << "f32 NN not run-to-run bit-identical";
   }
+}
+
+TEST(PanelMatrixTest, ProjectEqualsNaiveLoopBitForBit) {
+  expect_project_equals_naive_loop<double>();
+  expect_project_equals_naive_loop<float>();
 }
 
 }  // namespace
