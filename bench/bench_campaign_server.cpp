@@ -19,7 +19,7 @@
 //  * throughput (>= 4 hardware threads, not in smoke) — the server must
 //    clear 2x the serial campaigns/sec;
 //  * overload (always, incl. smoke) — a concurrent burst of 4x
-//    max_queue_depth submissions against the Reject policy, with every 5th
+//    max_queue_depth submissions against a bounded queue, with every 5th
 //    admitted job cancelled, must account for every attempt exactly once
 //    (rejected + served + cancelled == attempts, failed == 0) while the
 //    queue never exceeds its cap (peak_queue_depth <= max_queue_depth).
@@ -163,7 +163,7 @@ int main() {
   server.shutdown();
 
   // Path 3: overload — admission control under a burst.  A fresh bounded
-  // server (Reject policy) takes 4x its queue depth from 4 concurrent
+  // server (a full queue rejects) takes 4x its queue depth from 4 concurrent
   // submitter threads; every 5th admitted job is cancelled.  The server must
   // bound the queue (never deeper than the cap) and account for every
   // attempt exactly once: rejected at the door, served, or cancelled.
@@ -174,7 +174,6 @@ int main() {
   serve::CampaignServer::Options oopt;
   oopt.workers = 4;
   oopt.max_queue_depth = overload_depth;
-  oopt.overflow = serve::OverflowPolicy::Reject;
   serve::CampaignServer overload_server(oopt);
   overload_server.register_topology("5T-OTA", topo, tech(), model, lut_set,
                                     {.max_batch = 4});

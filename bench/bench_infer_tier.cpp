@@ -20,8 +20,10 @@
 //
 // Results are written as JSON (path from OTA_BENCH_JSON, default
 // BENCH_infer.json) for scripts/bench_snapshot.sh.
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -35,10 +37,38 @@
 
 namespace {
 
+using Tokens = std::vector<std::vector<ota::nlp::TokenId>>;
+
+/// Decodes every probe on the calling thread: builds the sessions, then
+/// steps all of them as one group per round (Session::greedy_step_group)
+/// until no row is live.  So ml.engine.group_steps counts the rounds, which
+/// is the longest decode's step count on any host.  A DecodeScheduler could
+/// not promise that count: how many requests its first admission takes
+/// depends on when its thread wakes.
+Tokens decode_probes(const ota::ml::InferenceEngine& engine, const Tokens& srcs,
+                     int64_t max_tokens, ota::ml::Precision tier) {
+  using Engine = ota::ml::InferenceEngine;
+  std::vector<Engine::Session> sessions;
+  sessions.reserve(srcs.size());  // the rows point into it
+  for (const auto& src : srcs) sessions.emplace_back(engine, src, tier);
+  Tokens out(srcs.size());
+  std::vector<Engine::GreedyRow> rows;
+  for (size_t i = 0; i < srcs.size(); ++i) {
+    rows.emplace_back(&sessions[i], &out[i], max_tokens);
+  }
+  const auto live = [](const Engine::GreedyRow& r) { return r.live; };
+  while (std::any_of(rows.begin(), rows.end(), live)) {
+    Engine::Session::greedy_step_group(rows);
+  }
+  for (const Engine::GreedyRow& r : rows) {
+    if (r.error) std::rethrow_exception(r.error);
+  }
+  return out;
+}
+
 /// Steps actually executed for one greedy decode: one per emitted token,
 /// plus the step that produced EOS when the budget did not run out first.
-int64_t steps_of(const std::vector<std::vector<ota::nlp::TokenId>>& outs,
-                 int64_t budget) {
+int64_t steps_of(const Tokens& outs, int64_t budget) {
   int64_t steps = 0;
   for (const auto& o : outs) {
     const int64_t len = static_cast<int64_t>(o.size());
@@ -100,29 +130,27 @@ int main() {
   const int n_probes = smoke ? 8 : 16;
   const int64_t max_tokens = smoke ? 96 : 256;
   const auto targets = core::targets_from_designs(ds.designs, n_probes, 0.06, 17);
-  std::vector<std::vector<nlp::TokenId>> srcs;
+  Tokens srcs;
   srcs.reserve(targets.size());
   for (const auto& t : targets) {
     srcs.push_back(model.tokenizer().encode(builder.encoder_text(t)));
   }
 
   // Gate 1: token agreement.  The double pass is the reference; the float32
-  // pass must reproduce its streams exactly.  Both decoded serially (an
-  // inline pool) so the comparison is pure kernel numerics.  The double pass
-  // also counts its stacked group steps: serially, one per round, so the
-  // count is the longest decode's step count.  A batch that stepped each
-  // request alone would count decode_steps_per_pass instead.
-  par::ThreadPool serial(1);
-  std::vector<std::vector<nlp::TokenId>> ref;
+  // pass must reproduce its streams exactly.  Both decoded serially, so the
+  // comparison is pure kernel numerics.  The double pass also counts its
+  // stacked group steps: one per round, so the count is the longest
+  // decode's step count.  A batch that stepped each request alone would
+  // count decode_steps_per_pass instead.
+  Tokens ref;
   uint64_t group_steps = 0;
   {
     const stats::ScopedStats scoped;
-    ref = engine.greedy_decode_batch(srcs, max_tokens, ml::Precision::kDouble,
-                                     serial);
+    ref = decode_probes(engine, srcs, max_tokens, ml::Precision::kDouble);
     group_steps = stats::snapshot()["ml.engine.group_steps"].count;
   }
-  const auto f32 = engine.greedy_decode_batch(srcs, max_tokens,
-                                              ml::Precision::kFloat32, serial);
+  const Tokens f32 =
+      decode_probes(engine, srcs, max_tokens, ml::Precision::kFloat32);
   bool agree = ref.size() == f32.size();
   size_t first_diverged = srcs.size();
   for (size_t i = 0; agree && i < ref.size(); ++i) {
@@ -134,10 +162,8 @@ int main() {
 
   // Gate 2: run-to-run determinism of each tier.
   const bool deterministic =
-      engine.greedy_decode_batch(srcs, max_tokens, ml::Precision::kDouble,
-                                 serial) == ref &&
-      engine.greedy_decode_batch(srcs, max_tokens, ml::Precision::kFloat32,
-                                 serial) == f32;
+      decode_probes(engine, srcs, max_tokens, ml::Precision::kDouble) == ref &&
+      decode_probes(engine, srcs, max_tokens, ml::Precision::kFloat32) == f32;
 
   // Throughput: repeated serial passes over the batch; the agreement gate
   // means both tiers execute the same number of session steps, so the rate
@@ -145,10 +171,10 @@ int main() {
   const int64_t steps = steps_of(ref, max_tokens);
   const int repeats = smoke ? 2 : 5;
   const auto time_tier = [&](ml::Precision tier) {
-    (void)engine.greedy_decode_batch(srcs, max_tokens, tier, serial);  // warm-up
+    (void)decode_probes(engine, srcs, max_tokens, tier);  // warm-up
     const auto t0 = Clock::now();
     for (int r = 0; r < repeats; ++r) {
-      (void)engine.greedy_decode_batch(srcs, max_tokens, tier, serial);
+      (void)decode_probes(engine, srcs, max_tokens, tier);
     }
     return std::chrono::duration<double>(Clock::now() - t0).count();
   };

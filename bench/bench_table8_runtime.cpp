@@ -18,7 +18,7 @@
 #include <cstring>
 
 #include "common.hpp"
-#include "ml/infer.hpp"
+#include "ml/decode_scheduler.hpp"
 #include "par/thread_pool.hpp"
 
 namespace {
@@ -74,9 +74,18 @@ int decode_engine_comparison(ota::benchsupport::TopologyContext& ctx,
       },
       cached_out);
 
-  // Batched decode across the whole request list (the campaign-sweep shape).
+  // Batched decode across the whole request list (the campaign-sweep shape):
+  // one burst of submissions to a scheduler on the global pool.
   const auto t0 = Clock::now();
-  const auto batch_out = engine.greedy_decode_batch(srcs, max_tokens);
+  std::vector<std::vector<nlp::TokenId>> batch_out;
+  {
+    ml::DecodeScheduler scheduler(engine);
+    std::vector<std::shared_ptr<ml::DecodeScheduler::Ticket>> tickets;
+    for (const auto& src : srcs) {
+      tickets.push_back(scheduler.submit(src, max_tokens));
+    }
+    for (const auto& t : tickets) batch_out.push_back(t->wait());
+  }
   const double batch_dt = seconds_since(t0);
   long batch_tokens = 0;
   for (const auto& o : batch_out) batch_tokens += static_cast<long>(o.size());

@@ -53,8 +53,7 @@ class Cancelled : public Error {
   explicit Cancelled(const std::string& what) : Error(what) {}
 };
 
-/// A server refused an admission because its job queue is at capacity (the
-/// Reject overflow policy, or a Block-policy wait that hit its timeout).
+/// A server refused an admission because its job queue is at capacity.
 /// Unlike Cancelled this is thrown from submit() itself: the job was never
 /// accepted, so there is no handle to wait on.
 class ServerOverloaded : public Error {

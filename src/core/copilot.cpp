@@ -10,6 +10,24 @@
 
 namespace ota::core {
 
+namespace {
+
+// The refinement loop's fixed tolerances.  A verified sizing meets its
+// target when the gain falls short by at most kGainTolDb and BW / UGF by at
+// most kRelTol; each miss tightens the next request by its shortfall times
+// kMarginBoost.
+constexpr double kGainTolDb = 0.4;     // allowed dB shortfall on gain
+constexpr double kRelTol = 0.05;       // allowed relative shortfall on BW / UGF
+constexpr double kMarginBoost = 1.05;  // extra tightening beyond the shortfall
+
+bool meets(const Specs& achieved, const Specs& target) {
+  return achieved.gain_db >= target.gain_db - kGainTolDb &&
+         achieved.bw_hz >= target.bw_hz * (1.0 - kRelTol) &&
+         achieved.ugf_hz >= target.ugf_hz * (1.0 - kRelTol);
+}
+
+}  // namespace
+
 LutSet LutSet::build(const device::Technology& tech, const lut::LutOptions& opt) {
   return LutSet{lut::DeviceLut(device::MosModel(tech.nmos), opt),
                 lut::DeviceLut(device::MosModel(tech.pmos), opt)};
@@ -66,13 +84,6 @@ SizingCopilot::SizingCopilot(circuit::Topology topology,
                              const Predictor& model, const LutSet& luts)
     : topo_(std::move(topology)), nominal_widths_(topo_.widths()),
       tech_(tech), builder_(builder), model_(model), luts_(luts) {}
-
-bool SizingCopilot::meets(const Specs& achieved, const Specs& target,
-                          const CopilotOptions& opt) const {
-  return achieved.gain_db >= target.gain_db - opt.gain_tol_db &&
-         achieved.bw_hz >= target.bw_hz * (1.0 - opt.rel_tol) &&
-         achieved.ugf_hz >= target.ugf_hz * (1.0 - opt.rel_tol);
-}
 
 SizingOutcome SizingCopilot::size(const Specs& target,
                                   const CopilotOptions& opt) {
@@ -136,7 +147,7 @@ SizingOutcome SizingCopilot::size(const Specs& target,
       if (best_achieved.bw_hz > 0.0) {
         factor = std::max(factor, target.bw_hz / best_achieved.bw_hz);
       }
-      factor = std::clamp(factor * opt.margin_boost, 0.25, 4.0);
+      factor = std::clamp(factor * kMarginBoost, 0.25, 4.0);
       widths = best_widths;
       for (double& w : widths) {
         w = std::clamp(w * factor, kWidthMin, kWidthMax);
@@ -164,7 +175,7 @@ SizingOutcome SizingCopilot::size(const Specs& target,
     }
     out.achieved = Specs{r.metrics.gain_db, r.metrics.bw_3db_hz, r.metrics.ugf_hz};
 
-    if (meets(out.achieved, target, opt)) {
+    if (meets(out.achieved, target)) {
       out.success = true;
       break;
     }
@@ -184,14 +195,14 @@ SizingOutcome SizingCopilot::size(const Specs& target,
     // small boost), as the paper's example (a 10% gain miss requests 10%
     // tighter gain) prescribes.
     if (out.achieved.gain_db < target.gain_db) {
-      request.gain_db += (target.gain_db - out.achieved.gain_db) * opt.margin_boost;
+      request.gain_db += (target.gain_db - out.achieved.gain_db) * kMarginBoost;
     }
     if (out.achieved.bw_hz < target.bw_hz && out.achieved.bw_hz > 0.0) {
       request.bw_hz *= std::pow(target.bw_hz / out.achieved.bw_hz, 1.0) *
-                       opt.margin_boost;
+                       kMarginBoost;
     }
     if (out.achieved.ugf_hz < target.ugf_hz && out.achieved.ugf_hz > 0.0) {
-      request.ugf_hz *= (target.ugf_hz / out.achieved.ugf_hz) * opt.margin_boost;
+      request.ugf_hz *= (target.ugf_hz / out.achieved.ugf_hz) * kMarginBoost;
     }
   }
 

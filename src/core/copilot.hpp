@@ -39,10 +39,7 @@ std::vector<double> widths_from_params(
     const std::vector<double>& fallback_widths);
 
 struct CopilotOptions {
-  int max_iterations = 6;      ///< paper: 1 + 3-5 refinement sims
-  double gain_tol_db = 0.4;    ///< allowed dB shortfall on gain
-  double rel_tol = 0.05;       ///< allowed relative shortfall on BW / UGF
-  double margin_boost = 1.05;  ///< extra tightening beyond the raw shortfall
+  int max_iterations = 6;  ///< paper: 1 + 3-5 refinement sims
   int max_decode_tokens = 800;
   /// After this many transformer rounds, remaining iterations refine the best
   /// candidate by constant-density width scaling: multiplying every width by
@@ -89,9 +86,6 @@ class SizingCopilot {
   SizingOutcome size(const Specs& target, const CopilotOptions& opt = {});
 
  private:
-  bool meets(const Specs& achieved, const Specs& target,
-             const CopilotOptions& opt) const;
-
   circuit::Topology topo_;
   /// Widths the topology arrived with.  Every size() call starts from these,
   /// not from whatever the previous campaign's verification simulations left

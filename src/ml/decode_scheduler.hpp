@@ -1,22 +1,22 @@
 // Continuous batching for the KV-cache inference engine.
 //
-// greedy_decode_batch decodes one caller's batch, but a server with many
-// concurrent campaigns issues its decodes one request at a time from many
-// threads — under that load the engine would decode batches of one and sit
-// mostly idle.  DecodeScheduler is the LLM-serving-style answer: callers
-// submit() decode requests from any thread and block on a Ticket; a dedicated
-// scheduler thread coalesces every outstanding request into one dynamic batch
-// and advances the whole batch one token per round on the engine's
-// incremental Sessions.  Batching is continuous, at token granularity:
-// requests join the running batch as they arrive (up to max_batch) and
-// finished sequences retire immediately — no waiting for stragglers, no
-// fixed batch boundaries.  Admission builds the joining sessions (the encode
-// pass) on the pool, one pool task per session, and requests that arrive
-// while any of them is still building join the same admission, so a burst
-// of submissions forms one batch however early the scheduler thread wakes
-// on it.  Each round is one parallel_for over the live sessions, and each
-// chunk steps its sessions as one group (Session::greedy_step_group), so
-// the rows of a chunk share every weight sweep.
+// DecodeScheduler is the engine's one batch decode loop: it alone admits,
+// steps and retires a batch, whether the requests come from one caller's
+// offline batch or from a server's many concurrent campaigns, each issuing
+// its decodes one request at a time.  Callers submit() decode requests from
+// any thread and block on a Ticket; a dedicated scheduler thread coalesces
+// every outstanding request into one dynamic batch and advances the whole
+// batch one token per round on the engine's incremental Sessions.  Batching
+// is continuous, at token granularity: requests join the running batch as
+// they arrive (up to max_batch) and finished sequences retire immediately —
+// no waiting for stragglers, no fixed batch boundaries.  Admission builds
+// the joining sessions (the encode pass) on the pool, one pool task per
+// session, and requests that arrive while any of them is still building
+// join the same admission, so a burst of submissions forms one batch however
+// early the scheduler thread wakes on it.  Each round is one parallel_for
+// over the live sessions, and each chunk steps its sessions as one group
+// (Session::greedy_step_group), so the rows of a chunk share every weight
+// sweep.
 //
 // Determinism contract (property-tested under the DeterminismTest umbrella):
 // a request's result is bit-identical to InferenceEngine::greedy_decode of

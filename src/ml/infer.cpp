@@ -539,69 +539,18 @@ void InferenceEngine::Session::greedy_step_group(std::span<GreedyRow> rows) {
   }
 }
 
-namespace {
-
-/// greedy_decode's refusal of a token budget that would decode nothing.
-void check_budget(int64_t max_len) {
+std::vector<TokenId> InferenceEngine::greedy_decode(
+    const std::vector<TokenId>& src, int64_t max_len,
+    Precision precision) const {
   if (max_len <= 0) {
     throw InvalidArgument(
         "InferenceEngine::greedy_decode: max_tokens must be positive, got " +
         std::to_string(max_len) +
         " (a zero token budget would silently decode nothing)");
   }
-}
-
-}  // namespace
-
-std::vector<TokenId> InferenceEngine::greedy_decode(
-    const std::vector<TokenId>& src, int64_t max_len,
-    Precision precision) const {
-  check_budget(max_len);
   Session session(*this, src, precision);
   std::vector<TokenId> out;
   while (session.greedy_step(out, max_len)) {
-  }
-  return out;
-}
-
-std::vector<std::vector<TokenId>> InferenceEngine::greedy_decode_batch(
-    const std::vector<std::vector<TokenId>>& srcs, int64_t max_len,
-    Precision precision, par::ThreadPool& pool) const {
-  std::vector<std::vector<TokenId>> out(srcs.size());
-  if (srcs.empty()) return out;
-  check_budget(max_len);
-  // Each session is built into its own slot by whichever worker is free;
-  // the lowest failing request's error is rethrown, as greedy_decode would
-  // throw it.
-  std::vector<std::unique_ptr<Session>> sessions(srcs.size());
-  std::vector<std::exception_ptr> errors(srcs.size());
-  pool.parallel_for_each(srcs.size(), [&](size_t i) {
-    try {
-      sessions[i] = std::make_unique<Session>(*this, srcs[i], precision);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  });
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  std::vector<GreedyRow> rows;
-  rows.reserve(srcs.size());
-  for (size_t i = 0; i < srcs.size(); ++i) {
-    rows.emplace_back(sessions[i].get(), &out[i], max_len);
-  }
-  // Rounds until every request is done.  A row's tokens depend on its own
-  // session alone, so neither the pool width nor which rows share a chunk
-  // changes a result.
-  while (!rows.empty()) {
-    pool.parallel_for(rows.size(), [&](size_t begin, size_t end) {
-      Session::greedy_step_group(
-          std::span<GreedyRow>(rows).subspan(begin, end - begin));
-    });
-    for (const GreedyRow& r : rows) {
-      if (r.error) std::rethrow_exception(r.error);
-    }
-    std::erase_if(rows, [](const GreedyRow& r) { return !r.live; });
   }
   return out;
 }

@@ -21,9 +21,8 @@
 //    are stacked in tiles of up to four, and each weight matrix streams once
 //    per tile instead of once per session.  Attention, KV appends and layer
 //    norms stay per row, against each session's own state;
-//  * greedy_decode_batch encodes its requests on an ota::par thread pool,
-//    one at a time by whichever worker is free, then steps them in rounds,
-//    each chunk of live requests as one group.
+//  * a batch of requests decodes through ml::DecodeScheduler, whose rounds
+//    step each chunk of its live sessions as one group.
 //
 // Numerical contract: the engine's greedy token output is IDENTICAL — token
 // for token, bit for bit — to Transformer::greedy_decode.  Every loop here
@@ -32,7 +31,7 @@
 // add, whatever the tile shape, and tests/test_infer.cpp checks the logits
 // bit for bit on trained models.  A row's numbers depend only on that row's
 // inputs, so a session's logits are the same whichever group it steps in,
-// and batch results are bit-identical for any pool width.
+// and a scheduler's results are bit-identical for any pool width.
 //
 // The float32 serving tier is the float instantiation of the same code: one
 // templated weight copy and one templated step body serve both tiers.
@@ -97,18 +96,6 @@ class InferenceEngine {
       const std::vector<nlp::TokenId>& src, int64_t max_len,
       Precision precision = Precision::kDouble) const;
 
-  /// Decodes every request: builds the sessions on `pool`, then runs
-  /// greedy rounds to completion, each round one parallel_for whose chunks
-  /// step their live requests as one group (Session::greedy_step_group).
-  /// Each result equals greedy_decode of its request, so a non-empty batch
-  /// throws what greedy_decode throws.  Results are positionally aligned
-  /// with `srcs` and bit-identical for any pool width, including an inline
-  /// pool (at either precision tier).
-  std::vector<std::vector<nlp::TokenId>> greedy_decode_batch(
-      const std::vector<std::vector<nlp::TokenId>>& srcs, int64_t max_len,
-      Precision precision = Precision::kDouble,
-      par::ThreadPool& pool = par::global_pool()) const;
-
   class Session;
 
   /// One request of a greedy group step: greedy_step's arguments, and what
@@ -161,8 +148,8 @@ class InferenceEngine {
     /// exceed the positional table) records the error and stops being
     /// live; the other rows step.  Every live row must hold a distinct
     /// session, and all of them must share one engine and one tier (else
-    /// InvalidArgument, before any row steps).  DecodeScheduler and
-    /// greedy_decode_batch call it once per round per chunk of requests.
+    /// InvalidArgument, before any row steps).  DecodeScheduler::run_round
+    /// calls it once per round per chunk of sessions.
     static void greedy_step_group(std::span<GreedyRow> rows);
 
     /// The logits row of the last step, (1, vocab).

@@ -9,9 +9,10 @@
 // divergence on trained models, rather than silently degrading results).
 //
 // The tier is a setting of this layer alone: an InferenceEngine decode call
-// (Session, greedy_decode, greedy_decode_batch) or a DecodeScheduler's
-// Options.  A group step (Session::greedy_step_group) takes no precision: it
-// runs at its sessions' tier, which must be one tier for the whole group.  The serving layer passes a scheduler's Options through
+// (Session, greedy_decode) or a DecodeScheduler's Options.  A group step
+// (Session::greedy_step_group) takes no precision: it runs at its sessions'
+// tier, which must be one tier for the whole group.  The serving layer
+// passes a scheduler's Options through
 // serve::CampaignServer::register_topology unchanged, so each topology's
 // scheduler, and so its serve::ScheduledPredictor, decodes at one tier.
 // Session and DecodeScheduler validate the value before any work starts.

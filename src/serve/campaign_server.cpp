@@ -108,9 +108,6 @@ CampaignServer::CampaignServer(Options opt) : opt_(opt) {
         "CampaignServer: max_retries must be >= 0 (0 = no retry), got " +
         std::to_string(opt_.max_retries));
   }
-  if (std::isnan(opt_.block_timeout_seconds)) {
-    throw InvalidArgument("CampaignServer: block_timeout_seconds is NaN");
-  }
   const int n = par::resolve_threads(opt_.workers);
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -193,7 +190,7 @@ std::shared_ptr<CampaignServer::Job> CampaignServer::submit(
       deadline_after(job->submitted_at, request.deadline_seconds));
   job->request = std::move(request);
   {
-    std::unique_lock<std::mutex> lk(mu_);
+    std::lock_guard<std::mutex> lk(mu_);
     if (stop_) {
       throw InvalidArgument("CampaignServer::submit: server is shut down");
     }
@@ -202,35 +199,13 @@ std::shared_ptr<CampaignServer::Job> CampaignServer::submit(
       throw InvalidArgument("CampaignServer::submit: unknown topology '" +
                             job->request.topology + "'");
     }
-    // Admission control: at capacity either refuse the submission outright
-    // or wait for a worker to make room.
+    // Admission control: at capacity the submission is refused outright.
     if (opt_.max_queue_depth > 0 &&
         queue_.size() >= static_cast<size_t>(opt_.max_queue_depth)) {
-      if (opt_.overflow == OverflowPolicy::Reject) {
-        ++rejected_;
-        throw ServerOverloaded(
-            "CampaignServer::submit: queue full (" +
-            std::to_string(queue_.size()) + "/" +
-            std::to_string(opt_.max_queue_depth) +
-            " jobs) and the overflow policy is Reject");
-      }
-      const auto has_space = [&] {
-        return stop_ ||
-               queue_.size() < static_cast<size_t>(opt_.max_queue_depth);
-      };
-      // No timeout is a give-up time of time_point::max(): never reached.
-      const auto give_up = deadline_after(std::chrono::steady_clock::now(),
-                                          opt_.block_timeout_seconds);
-      if (!space_cv_.wait_until(lk, give_up, has_space)) {
-        ++timed_out_;
-        throw ServerOverloaded(
-            "CampaignServer::submit: queue still full after blocking " +
-            std::to_string(opt_.block_timeout_seconds) +
-            "s for space (Block policy timeout)");
-      }
-      if (stop_) {
-        throw InvalidArgument("CampaignServer::submit: server is shut down");
-      }
+      ++rejected_;
+      throw ServerOverloaded("CampaignServer::submit: queue full (" +
+                             std::to_string(queue_.size()) + "/" +
+                             std::to_string(opt_.max_queue_depth) + " jobs)");
     }
     queue_.push_back(job);
     ++submitted_;
@@ -266,7 +241,6 @@ void CampaignServer::worker_loop() {
           cancelled->finished = true;
           cancelled->cv.notify_all();
         }
-        space_cv_.notify_all();
         return;
       }
       if (queue_.empty()) return;  // stop_ && drain_: queue fully served
@@ -276,8 +250,6 @@ void CampaignServer::worker_loop() {
       // so the lookup cannot fail; the bare pointer stays valid outside the
       // lock.
       entry = topologies_.find(job->request.topology)->second.get();
-      // The pop made room: wake one blocked Block-policy submitter.
-      space_cv_.notify_all();
     }
 
     const double queued = seconds_since(job->submitted_at);
@@ -418,9 +390,6 @@ void CampaignServer::shutdown(bool drain) {
     }
   }
   cv_.notify_all();
-  // Blocked Block-policy submitters abort with "server is shut down"
-  // instead of waiting on space that may never come.
-  space_cv_.notify_all();
   std::lock_guard<std::mutex> jk(join_mu_);
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
@@ -435,7 +404,6 @@ CampaignServer::Stats CampaignServer::stats() const {
   s.failed = failed_;
   s.cancelled = cancelled_;
   s.rejected = rejected_;
-  s.timed_out = timed_out_;
   s.expired = expired_;
   s.retried = retried_;
   s.recovered = recovered_;

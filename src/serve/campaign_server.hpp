@@ -31,13 +31,11 @@
 // Failed, so exactly-once accounting is unchanged by the retry policy.
 //
 // Overload contract: the job queue is bounded by Options::max_queue_depth
-// (0 = unbounded).  At capacity, submit() either throws ota::ServerOverloaded
-// (Reject) or waits for a worker to make room (Block, with an optional
-// timeout that also throws ServerOverloaded) — a burst of submissions can
-// never grow memory or tail latency without bound.  Each job owns one
-// ota::CancelToken, fired by Job::cancel() or by its
-// CampaignRequest::deadline_seconds, and the worker hands it to the copilot
-// as is: queued jobs resolve as Cancelled without running, in-flight
+// (0 = unbounded).  At capacity, submit() throws ota::ServerOverloaded, so a
+// burst of submissions can never grow memory or tail latency without
+// bound.  Each job owns one ota::CancelToken, fired by Job::cancel() or by
+// its CampaignRequest::deadline_seconds, and the worker hands it to the
+// copilot as is: queued jobs resolve as Cancelled without running, in-flight
 // campaigns stop at the next copilot stage boundary, and their live decode
 // tickets retire from the dynamic batch mid-round.
 #pragma once
@@ -104,12 +102,6 @@ enum class CampaignStatus {
   Cancelled,  ///< cancelled by Job::cancel(), shutdown(false), or a deadline
 };
 
-/// What submit() does when the job queue is at Options::max_queue_depth.
-enum class OverflowPolicy {
-  Reject,  ///< throw ota::ServerOverloaded immediately
-  Block,   ///< wait for space (bounded by Options::block_timeout_seconds)
-};
-
 struct CampaignResult {
   CampaignStatus status = CampaignStatus::Failed;
   /// Failed: the original exception's what(), prefixed with its type and —
@@ -134,15 +126,10 @@ class CampaignServer {
     /// lane would stall unrelated work.
     int workers = 0;
     /// Admission control: maximum campaigns waiting in the queue (jobs a
-    /// worker has picked up no longer count).  0 = unbounded, the
+    /// worker has picked up no longer count); a submit() that finds the
+    /// queue full throws ota::ServerOverloaded.  0 = unbounded, the
     /// pre-admission-control behaviour.  Negative throws InvalidArgument.
     int max_queue_depth = 0;
-    /// What submit() does when the queue is at max_queue_depth.
-    OverflowPolicy overflow = OverflowPolicy::Reject;
-    /// Block policy only: longest submit() waits for queue space before
-    /// throwing ota::ServerOverloaded.  <= 0, +inf or beyond the clock's
-    /// range = wait indefinitely; NaN throws InvalidArgument.
-    double block_timeout_seconds = 0.0;
     /// Bounded retry for transient failures: a campaign that throws
     /// ConvergenceError re-enters the back of the job queue (deterministic
     /// requeue: FIFO order, the same campaign state — campaigns are
@@ -154,9 +141,8 @@ class CampaignServer {
   };
 
   CampaignServer();
-  /// Throws InvalidArgument for workers < 0, max_queue_depth < 0,
-  /// max_retries < 0 or a NaN block_timeout_seconds — before any worker
-  /// thread is spawned.
+  /// Throws InvalidArgument for workers < 0, max_queue_depth < 0 or
+  /// max_retries < 0 — before any worker thread is spawned.
   explicit CampaignServer(Options opt);
   /// shutdown(true): outstanding campaigns finish before teardown.
   ~CampaignServer();
@@ -216,12 +202,10 @@ class CampaignServer {
     int retries = 0;
   };
 
-  /// Enqueues one campaign; returns immediately unless the queue is full
-  /// under the Block policy.  Throws InvalidArgument for an unregistered
-  /// topology, a set `options.cancel`, a NaN `deadline_seconds` or after
-  /// shutdown(), and ota::ServerOverloaded when the queue is at
-  /// max_queue_depth under the Reject policy (or the Block policy's timeout
-  /// elapses waiting for space).
+  /// Enqueues one campaign; returns immediately.  Throws InvalidArgument
+  /// for an unregistered topology, a set `options.cancel`, a NaN
+  /// `deadline_seconds` or after shutdown(), and ota::ServerOverloaded when
+  /// the queue is at max_queue_depth.
   std::shared_ptr<Job> submit(CampaignRequest request);
 
   /// Stops accepting submissions and joins the workers.  drain=true serves
@@ -231,8 +215,8 @@ class CampaignServer {
   void shutdown(bool drain = true);
 
   struct Stats {
-    /// Jobs admitted to the queue.  Refused submissions (rejected /
-    /// timed_out) are NOT counted here, so once everything resolves
+    /// Jobs admitted to the queue.  Refused submissions (rejected) are NOT
+    /// counted here, so once everything resolves
     /// submitted == served + failed + cancelled.
     uint64_t submitted = 0;
     uint64_t served = 0;
@@ -240,10 +224,8 @@ class CampaignServer {
     /// Jobs resolved as Cancelled: Job::cancel(), drainless shutdown, or a
     /// deadline (in queue or in flight).
     uint64_t cancelled = 0;
-    /// Admission control: submissions refused by the Reject policy.
+    /// Admission control: submissions refused because the queue was full.
     uint64_t rejected = 0;
-    /// Admission control: Block-policy submissions that hit the timeout.
-    uint64_t timed_out = 0;
     /// Jobs whose deadline passed before a worker ran them (a subset of
     /// `cancelled`; in-flight expiry counts only in `cancelled`).
     uint64_t expired = 0;
@@ -283,8 +265,7 @@ class CampaignServer {
   Options opt_;
 
   mutable std::mutex mu_;  ///< guards queue_, topologies_, stop_/drain_, stats
-  std::condition_variable cv_;        ///< wakes workers (new job / shutdown)
-  std::condition_variable space_cv_;  ///< wakes Block-policy submitters
+  std::condition_variable cv_;  ///< wakes workers (new job / shutdown)
   std::deque<std::shared_ptr<Job>> queue_;
   /// A nullptr value is a name reservation: register_topology claims the
   /// name under mu_ before paying the entry construction (scheduler thread
@@ -294,7 +275,7 @@ class CampaignServer {
   bool stop_ = false;
   bool drain_ = true;
   uint64_t submitted_ = 0, served_ = 0, failed_ = 0, cancelled_ = 0;
-  uint64_t rejected_ = 0, timed_out_ = 0, expired_ = 0, peak_queue_depth_ = 0;
+  uint64_t rejected_ = 0, expired_ = 0, peak_queue_depth_ = 0;
   uint64_t retried_ = 0, recovered_ = 0;
 
   std::mutex join_mu_;  ///< serializes shutdown()'s join

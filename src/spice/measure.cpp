@@ -3,6 +3,7 @@
 #include <cmath>
 #include <complex>
 #include <numbers>
+#include <optional>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -73,14 +74,6 @@ std::vector<double> magnitudes(const std::vector<std::complex<double>>& h) {
 }
 
 }  // namespace
-
-std::optional<double> find_falling_crossing(const AcAnalysis& ac,
-                                            const std::string& node,
-                                            double target) {
-  const std::vector<double> grid = scan_grid();
-  const std::vector<double> mags = magnitudes(coarse_scan(ac, grid, node));
-  return crossing_from_scan(ac, node, target, grid, mags);
-}
 
 AcMetrics measure_ac(const AcAnalysis& ac, const std::string& node) {
   STAT_REGION("spice.ac.measure");

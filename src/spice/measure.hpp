@@ -11,7 +11,6 @@
 // evaluation, baseline populations), which already fill the workers.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "spice/ac.hpp"
@@ -31,11 +30,5 @@ struct AcMetrics {
 /// Measures gain / BW / UGF / PM at the named output node over one coarse
 /// scan plus bisection refinements.
 AcMetrics measure_ac(const AcAnalysis& ac, const std::string& output_node);
-
-/// Finds the frequency at which |H| crosses `target` (falling) within the
-/// scan range, or nullopt when no crossing exists.
-std::optional<double> find_falling_crossing(const AcAnalysis& ac,
-                                            const std::string& output_node,
-                                            double target);
 
 }  // namespace ota::spice

@@ -1,6 +1,7 @@
 // InferenceEngine tests: the bit-identity contract between the autograd-free
-// KV-cache engine and the Var-based reference path, batch semantics, the
-// positional-table guard rails, and the versioned model-file format.
+// KV-cache engine and the Var-based reference path, group-step semantics,
+// the positional-table guard rails, and the versioned model-file format.
+// Batch decoding through DecodeScheduler is tested in test_serve.cpp.
 #include "ml/infer.hpp"
 
 #include <gtest/gtest.h>
@@ -135,35 +136,6 @@ TEST(InferenceEngine, IncrementalLogitsMatchFullRecompute) {
   }
 }
 
-TEST(InferenceEngine, BatchOfOneEqualsSingle) {
-  const Transformer& model = trained_model(9, 110);
-  const InferenceEngine engine(model);
-  for (const auto& src : probe_sources()) {
-    const auto batch = engine.greedy_decode_batch({src}, 16);
-    ASSERT_EQ(batch.size(), 1u);
-    EXPECT_EQ(batch[0], engine.greedy_decode(src, 16));
-  }
-}
-
-TEST(InferenceEngine, BatchBitIdenticalAcrossThreadCounts) {
-  // The batch steps its requests in groups that depend on the pool width;
-  // every output must still be the request's own greedy_decode.
-  const Transformer& model = trained_model(5, 60);
-  const InferenceEngine engine(model);
-  const auto& srcs = probe_sources();
-  par::ThreadPool pool1(1), pool3(3), pool8(8);
-  const auto serial =
-      engine.greedy_decode_batch(srcs, 16, Precision::kDouble, pool1);
-  ASSERT_EQ(serial.size(), srcs.size());
-  for (size_t i = 0; i < srcs.size(); ++i) {
-    EXPECT_EQ(serial[i], engine.greedy_decode(srcs[i], 16)) << "request " << i;
-  }
-  EXPECT_EQ(engine.greedy_decode_batch(srcs, 16, Precision::kDouble, pool3),
-            serial);
-  EXPECT_EQ(engine.greedy_decode_batch(srcs, 16, Precision::kDouble, pool8),
-            serial);
-}
-
 /// Logits rows compared as bytes: the group contract is bit identity.
 bool same_bytes(const Tensor& a, const Tensor& b) {
   return a.size() == b.size() &&
@@ -242,18 +214,12 @@ TEST(InferenceEngine, GroupStepMatchesEachSessionAlone) {
 }
 
 TEST(InferenceEngine, BatchRejectsNonpositiveTokenBudget) {
-  // A zero/negative budget on a non-empty batch would silently decode
-  // nothing; the engine refuses it with a readable error instead.  An empty
-  // batch is a no-op whatever the budget.
+  // A zero/negative budget would silently decode nothing; greedy_decode
+  // refuses it with a readable error instead, at either tier.  (A batch
+  // decodes through DecodeScheduler, whose submit() refuses it the same
+  // way: DeterminismTest.SchedulerRejectsBadSubmissions.)
   const Transformer& model = trained_model(5, 60);
   const InferenceEngine engine(model);
-  par::ThreadPool pool8(8);
-  EXPECT_THROW((void)engine.greedy_decode_batch({{4, 5}}, 0), InvalidArgument);
-  EXPECT_THROW((void)engine.greedy_decode_batch({{4, 5}}, -7,
-                                                Precision::kDouble, pool8),
-               InvalidArgument);
-  EXPECT_TRUE(engine.greedy_decode_batch({}, 0).empty());
-  // The single decode refuses it the same way, at either tier.
   EXPECT_THROW((void)engine.greedy_decode({4, 5}, 0), InvalidArgument);
   EXPECT_THROW((void)engine.greedy_decode({4, 5}, -7, Precision::kFloat32),
                InvalidArgument);
@@ -354,39 +320,16 @@ TEST(InferenceEngine, F32EncodeTracksDoubleEncode) {
   }
 }
 
-TEST(InferenceEngine, F32BatchBitIdenticalAcrossThreadCounts) {
-  // Same determinism property the double tier holds: the f32 batch result
-  // must not depend on pool width, and each output is the request's own
-  // f32 greedy_decode.
-  const Transformer& model = trained_model(5, 60);
-  const InferenceEngine engine(model);
-  const auto& srcs = probe_sources();
-  par::ThreadPool pool1(1), pool3(3), pool8(8);
-  const auto serial =
-      engine.greedy_decode_batch(srcs, 16, Precision::kFloat32, pool1);
-  ASSERT_EQ(serial.size(), srcs.size());
-  for (size_t i = 0; i < srcs.size(); ++i) {
-    EXPECT_EQ(serial[i], engine.greedy_decode(srcs[i], 16, Precision::kFloat32))
-        << "request " << i;
-  }
-  EXPECT_EQ(engine.greedy_decode_batch(srcs, 16, Precision::kFloat32, pool3),
-            serial);
-  EXPECT_EQ(engine.greedy_decode_batch(srcs, 16, Precision::kFloat32, pool8),
-            serial);
-}
-
 TEST(InferenceEngine, ForgedPrecisionIsRefused) {
   // An out-of-range Precision (static_cast from a config knob) must be
-  // refused at the door — session construction and the batch entry point —
+  // refused at the door — session construction, so every greedy_decode —
   // not silently treated as one of the tiers.
   const Transformer& model = trained_model(5, 60);
   const InferenceEngine engine(model);
   const auto forged = static_cast<Precision>(7);
   EXPECT_THROW(InferenceEngine::Session(engine, {4, 5}, forged),
                InvalidArgument);
-  par::ThreadPool pool1(1);
-  EXPECT_THROW((void)engine.greedy_decode_batch({{4, 5}}, 8, forged, pool1),
-               InvalidArgument);
+  EXPECT_THROW((void)engine.greedy_decode({4, 5}, 8, forged), InvalidArgument);
 }
 
 }  // namespace

@@ -68,12 +68,13 @@ TEST_F(MeasureTest, FindFallingCrossingBracketsCorrectly) {
   nl.add_capacitor("C1", "out", "0", 1e-9);
   const DcSolution dc = solve_dc(nl, tech);
   const AcAnalysis ac(nl, tech, dc);
+  const AcMetrics m = measure_ac(ac, "out");
+  // measure_ac's crossing search brackets the -3 dB crossing of an RC
+  // low-pass at 1/(2 pi RC).
   const double fc = 1.0 / (2.0 * std::numbers::pi * 1e-6);
-  auto crossing = find_falling_crossing(ac, "out", 1.0 / std::numbers::sqrt2);
-  ASSERT_TRUE(crossing.has_value());
-  EXPECT_NEAR(*crossing, fc, fc * 1e-3);
-  // A target above the DC magnitude has no falling crossing.
-  EXPECT_FALSE(find_falling_crossing(ac, "out", 2.0).has_value());
+  EXPECT_NEAR(m.bw_3db_hz, fc, fc * 1e-3);
+  // Unity lies above the DC magnitude, so it has no falling crossing.
+  EXPECT_EQ(m.ugf_hz, 0.0);
 }
 
 TEST_F(MeasureTest, EvaluateFiveTransistorOtaEndToEnd) {

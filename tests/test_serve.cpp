@@ -11,10 +11,10 @@
 // drainless cancellation answers everything, and nothing resolves twice.
 //
 // The admission-control and cancellation contracts extend that: a full queue
-// rejects or blocks per OverflowPolicy (never exceeding max_queue_depth), and
-// a request whose ota::CancelToken fires resolves exactly once as Cancelled
-// (immediately when still queued, at the next stage boundary / decode round
-// when in flight).  Scheduler tests cancel a ticket through the token they
+// rejects submissions (never exceeding max_queue_depth), and a request whose
+// ota::CancelToken fires resolves exactly once as Cancelled (immediately
+// when still queued, at the next stage boundary / decode round when in
+// flight).  Scheduler tests cancel a ticket through the token they
 // submitted it with; server tests through Job::cancel() and deadline_seconds,
 // which fire the token the server makes for each job.  Every campaign that
 // survives cancellation must still be bit-identical to the serial copilot.
@@ -335,6 +335,60 @@ TEST_F(DeterminismTest, SchedulerRejectsBadSubmissions) {
   EXPECT_THROW((void)scheduler.submit(src, -3), InvalidArgument);
   scheduler.shutdown();
   EXPECT_THROW((void)scheduler.submit(src, 16), InvalidArgument);
+}
+
+TEST_F(DeterminismTest, SchedulerRefusedRequestFailsOnlyItsTicket) {
+  // Requests the engine refuses at admission (an empty prompt, one past the
+  // positional table, a token id past the vocabulary) arrive in one burst
+  // with good ones.  Each refused ticket fails alone with InvalidArgument;
+  // every other ticket is still its request's greedy_decode.
+  const ml::InferenceEngine engine(copy_task_model());
+  const int64_t max_len = engine.config().max_len;
+  const TokenId past_vocab = static_cast<TokenId>(engine.config().vocab_size);
+  struct Request {
+    std::vector<TokenId> src;
+    bool refused;
+  };
+  const std::vector<Request> burst{
+      {{4, 5, 6, 7}, false},
+      {{}, true},
+      {{5, 4, 7, 6}, false},
+      {std::vector<TokenId>(static_cast<size_t>(max_len) + 1, 4), true},
+      {{7, 5}, false},
+      {{4, past_vocab, 5}, true},
+      {{6, 7, 4, 5}, false},
+  };
+  constexpr int64_t kBudget = 16;
+  std::vector<std::vector<TokenId>> reference;
+  uint64_t good = 0;
+  for (const Request& r : burst) {
+    reference.push_back(r.refused ? std::vector<TokenId>{}
+                                  : engine.greedy_decode(r.src, kBudget));
+    good += r.refused ? 0 : 1;
+  }
+
+  for (int threads : {1, 3}) {
+    par::ThreadPool pool(threads);
+    ml::DecodeScheduler scheduler(engine, {}, pool);
+    std::vector<std::shared_ptr<ml::DecodeScheduler::Ticket>> tickets;
+    for (const Request& r : burst) {
+      tickets.push_back(scheduler.submit(r.src, kBudget));
+    }
+    for (size_t i = 0; i < burst.size(); ++i) {
+      if (burst[i].refused) {
+        EXPECT_THROW((void)tickets[i]->wait(), InvalidArgument)
+            << "request " << i << " threads " << threads;
+      } else {
+        EXPECT_EQ(tickets[i]->wait(), reference[i])
+            << "request " << i << " threads " << threads;
+      }
+    }
+    const auto stats = scheduler.stats();
+    EXPECT_EQ(stats.submitted, burst.size());
+    EXPECT_EQ(stats.served, good) << "threads " << threads;
+    EXPECT_EQ(stats.failed, burst.size() - good) << "threads " << threads;
+    EXPECT_EQ(stats.cancelled, 0u);
+  }
 }
 
 TEST_F(DeterminismTest, SchedulerDrainServesEveryRequestExactlyOnce) {
@@ -768,9 +822,6 @@ TEST_F(DeterminismTest, CampaignServerRejectsBadOptions) {
   bad.max_queue_depth = -1;
   EXPECT_THROW({ CampaignServer s(bad); }, InvalidArgument);
   bad = CampaignServer::Options{};
-  bad.block_timeout_seconds = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW({ CampaignServer s(bad); }, InvalidArgument);
-  bad = CampaignServer::Options{};
   bad.workers = -1;
   EXPECT_THROW({ CampaignServer s(bad); }, InvalidArgument);
   bad = CampaignServer::Options{};
@@ -962,7 +1013,7 @@ TEST_F(DeterminismTest, CampaignServerRejectPolicyBoundsQueue) {
 
   CampaignServer::Options sopt;
   sopt.workers = 1;
-  sopt.max_queue_depth = 2;  // overflow defaults to Reject
+  sopt.max_queue_depth = 2;
   CampaignServer server(sopt);
   server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_);
 
@@ -984,81 +1035,6 @@ TEST_F(DeterminismTest, CampaignServerRejectPolicyBoundsQueue) {
   EXPECT_EQ(stats.rejected, 1u);
   EXPECT_EQ(stats.served, 3u);
   EXPECT_LE(stats.peak_queue_depth, 2u);
-}
-
-TEST_F(DeterminismTest, CampaignServerBlockPolicyWaitsForSpace) {
-  const auto targets = campaign_targets(3);
-  const auto opt = campaign_options();
-
-  // No timeout, and one beyond the steady clock's range: both must wait,
-  // the latter must not overflow into a give-up time already past.
-  for (const double timeout : {0.0, 1e12}) {
-    CampaignServer::Options sopt;
-    sopt.workers = 1;
-    sopt.max_queue_depth = 1;
-    sopt.overflow = OverflowPolicy::Block;
-    sopt.block_timeout_seconds = timeout;
-    CampaignServer server(sopt);
-    server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_);
-
-    auto first = server.submit({"5T-OTA", targets[0], opt});
-    wait_for_pickup(server);
-    auto second = server.submit({"5T-OTA", targets[1], opt});  // queue full
-    // This submit finds the queue at capacity and blocks until the worker
-    // pops `second`; it must eventually be admitted and served, not rejected
-    // (a ServerOverloaded leaves `third` null for the assertion below).
-    std::shared_ptr<CampaignServer::Job> third;
-    std::thread submitter([&] {
-      try {
-        third = server.submit({"5T-OTA", targets[2], opt});
-      } catch (const ServerOverloaded&) {
-      }
-    });
-    submitter.join();
-    ASSERT_NE(third, nullptr) << "timeout " << timeout;
-
-    for (const auto& job : {first, second, third}) {
-      EXPECT_EQ(job->wait().status, CampaignStatus::Served) << job->wait().error;
-    }
-    const auto stats = server.stats();
-    EXPECT_EQ(stats.submitted, 3u);
-    EXPECT_EQ(stats.rejected, 0u);
-    EXPECT_EQ(stats.timed_out, 0u);
-    EXPECT_LE(stats.peak_queue_depth, 1u);
-  }
-}
-
-TEST_F(DeterminismTest, CampaignServerBlockTimeoutThrowsServerOverloaded) {
-  const auto targets = campaign_targets(3);
-  // Slow campaigns: the worker must stay busy well past the tiny timeout.
-  core::CopilotOptions slow = campaign_options();
-  slow.max_iterations = 6;
-  slow.max_decode_tokens = 300;
-
-  CampaignServer::Options sopt;
-  sopt.workers = 1;
-  sopt.max_queue_depth = 1;
-  sopt.overflow = OverflowPolicy::Block;
-  sopt.block_timeout_seconds = 2e-3;
-  CampaignServer server(sopt);
-  server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_);
-
-  auto first = server.submit({"5T-OTA", targets[0], slow});
-  wait_for_pickup(server);
-  auto second = server.submit({"5T-OTA", targets[1], slow});
-  // Space can only appear when `second` is popped — after the whole first
-  // campaign finishes, orders of magnitude later than the 2ms timeout.
-  EXPECT_THROW((void)server.submit({"5T-OTA", targets[2], slow}),
-               ServerOverloaded);
-
-  server.shutdown(/*drain=*/true);
-  EXPECT_EQ(first->wait().status, CampaignStatus::Served) << first->wait().error;
-  EXPECT_EQ(second->wait().status, CampaignStatus::Served)
-      << second->wait().error;
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.timed_out, 1u);
-  EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_EQ(stats.submitted, 2u);
 }
 
 TEST_F(DeterminismTest, CampaignServerDrainServesWholeQueue) {
